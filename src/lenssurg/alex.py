@@ -11,6 +11,7 @@ h, h' the canonical representatives of h and h^{-1} in [1, p).
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
 from .arith import mod_inverse
@@ -47,7 +48,7 @@ class SymmetricPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+        c = tuple(map(int, self.coeffs))
         if not c:
             raise ValueError("empty coefficient list")
         if len(c) > 1 and c[-1] == 0:
@@ -113,10 +114,11 @@ class ReducedVector:
     def __post_init__(self):
         if len(self.entries) != self.p:
             raise ValueError("entry count must equal the modulus")
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        object.__setattr__(self, "entries", tuple(map(int, self.entries)))
 
     def is_symmetric(self) -> bool:
-        return all(self.entries[(-i) % self.p] == self.entries[i] for i in range(self.p))
+        e = self.entries
+        return e[1:] == e[:0:-1]   # entry i against entry p - i
 
     def total(self) -> int:
         return sum(self.entries)
@@ -166,13 +168,9 @@ def reduced_coeffs(p: int, q: int, h: int) -> ReducedVector:
             diff[0] += 1
             diff[hi] -= 1
             diff[lo] += 1
-    depth = 0
-    cover = [0] * p
-    for k in range(p):
-        depth += diff[k]
-        cover[k] = depth
+    cover = list(accumulate(diff[:p]))
     c = ((h + 1 + p) * (h - 1) // 2) % p
-    return ReducedVector(p, tuple(cover[(h * i + c) % p] - m for i in range(p)))
+    return ReducedVector(p, tuple([cover[(h * i + c) % p] - m for i in range(p)]))
 
 
 def os_form_check(poly: SymmetricPoly):
@@ -182,12 +180,13 @@ def os_form_check(poly: SymmetricPoly):
     top degree down to the constant term, are exactly +1, -1, +1, ... with the
     constant term included; returns None otherwise.
     """
-    support = [i for i in range(poly.degree(), -1, -1) if poly.coeff(i) != 0]
+    coeffs = poly.coeffs
+    support = [i for i in range(len(coeffs) - 1, -1, -1) if coeffs[i] != 0]
     if not support or support[-1] != 0:
         return None
     want = 1
     for i in support:
-        if poly.coeff(i) != want:
+        if coeffs[i] != want:
             return None
         want = -want
     ns = tuple(sorted(i for i in support if i > 0))
@@ -196,7 +195,8 @@ def os_form_check(poly: SymmetricPoly):
 
 def genus_from_reduced(v: ReducedVector) -> int:
     """Largest index in {0, ..., floor(p/2)} carrying a nonzero entry."""
-    return max(i for i in range(v.p // 2 + 1) if v[i] != 0)
+    e = v.entries
+    return max(i for i in range(v.p // 2 + 1) if e[i] != 0)
 
 
 def unreduce(v: ReducedVector, g: int) -> SymmetricPoly:
@@ -213,17 +213,18 @@ def unreduce(v: ReducedVector, g: int) -> SymmetricPoly:
         raise UnreduceError(f"genus {g} too large for modulus {p}")
     if not v.is_symmetric():
         raise UnreduceError("reduced vector is not symmetric")
+    e = v.entries
     if 2 * g == p + 1:
-        coeffs = [v[i] for i in range(g - 1)]
-        coeffs.append(v[g - 1] - 1)  # class of g-1 also carries a_{-g} = 1
+        coeffs = list(e[:g - 1])
+        coeffs.append(e[g - 1] - 1)  # class of g-1 also carries a_{-g} = 1
         coeffs.append(1)
     elif 2 * g == p:
-        if v[g] % 2 != 0:
+        if e[g] % 2 != 0:
             raise UnreduceError("middle class entry must be even when 2g = p")
-        coeffs = [v[i] for i in range(g)]
-        coeffs.append(v[g] // 2)
+        coeffs = list(e[:g])
+        coeffs.append(e[g] // 2)
     else:
-        coeffs = [v[i] for i in range(g + 1)]
+        coeffs = list(e[:g + 1])
     if coeffs[-1] == 0:
         raise UnreduceError("reconstructed top coefficient vanishes")
     poly = SymmetricPoly(tuple(coeffs))
@@ -239,8 +240,10 @@ def unreduce(v: ReducedVector, g: int) -> SymmetricPoly:
 def reduce_poly(poly: SymmetricPoly, p: int) -> ReducedVector:
     """Sum coefficients over residue classes mod p (inverse of unreduce)."""
     entries = [0] * p
-    for i in range(-poly.degree(), poly.degree() + 1):
-        entries[i % p] += poly.coeff(i)
+    entries[0] = poly.coeffs[0]
+    for i, a in enumerate(poly.coeffs[1:], 1):
+        entries[i % p] += a
+        entries[-i % p] += a
     return ReducedVector(p, tuple(entries))
 
 
@@ -253,11 +256,12 @@ def torsion_from_poly(poly: SymmetricPoly) -> tuple:
     g = poly.degree()
     if poly.eval_at_one() != 1:
         raise ValueError("polynomial is not normalized: Delta(1) != 1")
+    coeffs = poly.coeffs
     ts = []
     s1 = 0  # sum of a_j for j > i
     s2 = 0  # sum of j*a_j for j > i
     for i in range(g - 1, -1, -1):
-        a = poly.coeff(i + 1)
+        a = coeffs[i + 1]
         s1 += a
         s2 += (i + 1) * a
         ts.append(s2 - i * s1)
@@ -276,7 +280,7 @@ def reduced_torsions(torsions: tuple, p: int) -> tuple:
 
 def dd1(poly: SymmetricPoly) -> int:
     """Second derivative at t=1: sum_i i^2 a_i = 2 sum_{i>=1} i^2 a_i."""
-    return 2 * sum(i * i * poly.coeff(i) for i in range(1, poly.degree() + 1))
+    return 2 * sum(i * i * a for i, a in enumerate(poly.coeffs))
 
 
 def delta_relation_check(delta_s3: SymmetricPoly, delta_y: SymmetricPoly, p: int) -> bool:

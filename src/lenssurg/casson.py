@@ -2,9 +2,10 @@
 
 The authoritative route sums correction terms (HF_red of a lens space is
 zero, so the surgery-formula version of the invariant collapses to
-lambda = -(sum_i d(L(p,q), i)) / (2p)).  The Dedekind-sum route exists as an
-independent oracle; its single global sign is calibrated once against the
-first route and cached for the process lifetime.
+lambda = -(sum_i d(L(p,q), i)) / (2p) = -(sum_i N_i) / (8p^2), with the
+scaled terms N_i = 4p * d(L(p,q), i) of the dinv module).  The Dedekind-sum
+route exists as an independent oracle; its single global sign is calibrated
+once against the first route and cached for the process lifetime.
 """
 
 from fractions import Fraction
@@ -20,10 +21,10 @@ _dedekind_sign = None
 
 
 def lambda_rustamov(p: int, q: int) -> Fraction:
-    """lambda(L(p,q)) = -(sum over Spin^c of d) / (2p)."""
+    """lambda(L(p,q)) = -(sum over Spin^c of d) / (2p) = -(sum of N) / (8p^2)."""
     if not 0 < q < p or gcd(p, q) != 1:
         raise ValueError(f"bad lens parameters ({p}, {q})")
-    return -sum(d_vector(p, q)) / (2 * p)
+    return Fraction(-sum(d_vector(p, q)), 8 * p * p)
 
 
 def _calibrate_sign() -> int:

@@ -12,6 +12,12 @@ Internal convention: the reduced-coefficient formula and the correction
 terms are evaluated with the square representative q* = [h^2]_p.  The
 input q must agree with q* up to the q <-> q^{-1} homeomorphism; the
 stored datum carries the canonical (minimal) q and h.
+
+The surgery formula d = 2 t~_i + d(L(p,q*), Q(i)) - d(L(p,1), i) is checked
+scaled by 4p, in integers: with N = 4p * d(L(p,q*), .) from dinv.d_vector,
+4p * d(L(p,1), i) = (2i - p)^2 - p and D = 4p * d,
+
+    D - N[Q(i)] + (2i - p)^2 - p == 8p * t~_i    for every i in Z/p.
 """
 
 from dataclasses import dataclass
@@ -33,7 +39,7 @@ from .alex import (
 )
 from .arith import is_square_mod, mod_inverse
 from .casson import lambda_rustamov
-from .dinv import d_lens_p1, d_vector, spin_c_Q
+from .dinv import d_vector, spin_c_c
 
 __all__ = [
     "SurgeryDatum",
@@ -152,13 +158,27 @@ def derive_d(p: int, q: int, h: int) -> Fraction:
     g = genus_from_reduced(v)
     poly = unreduce(v, g)
     tred = reduced_torsions(torsion_from_poly(poly), p)
-    return 2 * tred[0] + _d_of(p, qs, spin_c_Q(h, p, 0)) - d_lens_p1(p, 0)
+    return Fraction(_scaled_d(p, d_vector(p, qs), spin_c_c(h, p), tred), 4 * p)
 
 
-def _d_of(p: int, q: int, i: int) -> Fraction:
-    if q == 1:
-        return d_lens_p1(p, i)
-    return d_vector(p, q)[i]
+def _scaled_d(p: int, n: tuple, c: int, tred: tuple) -> int:
+    """4p * d forced by the surgery formula at i = 0, where Q(0) = c."""
+    return 8 * p * tred[0] + n[c] - (p * p - p)
+
+
+def _formula_failure(p: int, h: int, c: int, n: tuple, tred: tuple, scaled_d: int):
+    """First i in Z/p where the surgery formula scaled by 4p fails, else None.
+
+    n holds the scaled terms of L(p, [h^2]_p) and Q(i) = [h*i + c]_p.
+    """
+    j = c
+    for i in range(p):
+        if scaled_d - n[j] + (2 * i - p) ** 2 - p != 8 * p * tred[i]:
+            return i
+        j += h
+        if j >= p:
+            j -= p
+    return None
 
 
 def bounds_check(g: int, d: int, p: int) -> bool:
@@ -182,9 +202,10 @@ def certify(p: int, q: int, h: int, require_even_d: bool = True):
     h = h % p
     if gcd(p, q) != 1 or gcd(p, h) != 1:
         return Rejection(p, q, h, "coprimality", f"gcd with {p} is not 1")
-    if not is_square_mod(q, p):
-        return Rejection(p, q, h, "square-test", f"{q} is not a square mod {p}")
+    # a compatible q is h^{+-2}, a square; the scan only picks the detail
     if not _compatible(p, q, h):
+        if not is_square_mod(q, p):
+            return Rejection(p, q, h, "square-test", f"{q} is not a square mod {p}")
         return Rejection(
             p, q, h, "square-test",
             f"[h^2]_p = {square_rep(p, h)} names neither {q} nor its inverse",
@@ -220,21 +241,22 @@ def _certify_class(p, h, q_input=None, require_even_d=True, q_override=None):
                          f"t = {torsions}")
 
     tred = reduced_torsions(torsions, p)
-    d0 = d_lens_p1(p, 0)
-    dq = [_d_of(p, qs, spin_c_Q(h, p, i)) for i in range(p)]
-    d_frac = 2 * tred[0] + dq[0] - d0
-    if d_frac.denominator != 1:
+    n = d_vector(p, qs)
+    c = spin_c_c(h, p)
+    scaled_d = _scaled_d(p, n, c, tred)
+    d, rem = divmod(scaled_d, 4 * p)
+    if rem:
+        d_frac = Fraction(scaled_d, 4 * p)
         return Rejection(p, q_canon, h_canon, "non-integral-d",
                          f"derived d = {d_frac}", derived_d=d_frac)
-    d = int(d_frac)
     if require_even_d and d % 2 != 0:
         return Rejection(p, q_canon, h_canon, "odd-d",
                          f"derived d = {d}", derived_d=d)
 
-    for i in range(p):
-        if d - dq[i] + d_lens_p1(p, i) != 2 * tred[i]:
-            return Rejection(p, q_canon, h_canon, "correction-mismatch",
-                             f"surgery formula fails at i = {i}", derived_d=d)
+    i = _formula_failure(p, h, c, n, tred, scaled_d)
+    if i is not None:
+        return Rejection(p, q_canon, h_canon, "correction-mismatch",
+                         f"surgery formula fails at i = {i}", derived_d=d)
 
     if g >= 1:
         if g + 2 * d <= 0:
@@ -296,10 +318,9 @@ def lift_to_d2(cert: Certificate) -> Certificate:
     d = cert.d + 2
     h = cert.datum.h
     qs = cert.q_square
-    for i in range(p):
-        lhs = d - _d_of(p, qs, spin_c_Q(h, p, i)) + d_lens_p1(p, i)
-        if lhs != 2 * tred[i]:
-            raise ValueError(f"lifted surgery formula fails at i = {i}")
+    i = _formula_failure(p, h, spin_c_c(h, p), d_vector(p, qs), tred, 4 * p * d)
+    if i is not None:
+        raise ValueError(f"lifted surgery formula fails at i = {i}")
     euler_ok = p * (Fraction(d) + 2 * cert.lambda_pq - 2 * cert.lambda_p1) == dd1(poly)
     if not euler_ok:
         raise ValueError("lifted Euler identity fails")

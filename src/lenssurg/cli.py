@@ -4,7 +4,8 @@ Subcommands cover every pipeline: correction terms, reduced coefficients,
 Casson-Walker values, certification, the slope search, parametric families,
 golden-table verification, fundamental groups, plot data, and the lambda
 threshold sweep.  Exit status: 0 success/verified, 1 mismatch/rejection,
-2 usage error.
+2 usage error.  User input is validated up front; any other exception is an
+internal fault and surfaces with its traceback (exit 1).
 """
 
 import argparse
@@ -41,6 +42,11 @@ def _positive(value, name):
 def _coprime(a, b, what):
     if gcd(a, b) != 1:
         raise UsageError(f"{what}: gcd({a}, {b}) != 1")
+
+
+def _slope_range(pmin, pmax):
+    if not 2 <= pmin <= pmax:
+        raise UsageError(f"need 2 <= pmin <= pmax, got [{pmin}, {pmax}]")
 
 
 def _write_out(text, path):
@@ -131,6 +137,7 @@ def cmd_certify(args):
 
 
 def cmd_search(args):
+    _slope_range(args.pmin, args.pmax)
     report = search.enumerate_search(args.pmin, args.pmax, mode=args.mode,
                                      threads=args.threads)
     _write_out(search.report_csv(report, d=args.d), args.out)
@@ -161,9 +168,13 @@ def cmd_families(args):
 
 
 def cmd_tables(args):
-    fixture_rows = tables.load_fixture(args.verify)
+    try:
+        fixture_rows = tables.load_fixture(args.verify)
+    except (OSError, ValueError) as err:
+        raise UsageError(f"cannot read table {args.verify!r}: {err}") from err
     pmin = args.pmin if args.pmin else 2
-    pmax = args.pmax if args.pmax else max(r[0] for r in fixture_rows)
+    pmax = args.pmax if args.pmax else max((r[0] for r in fixture_rows), default=0)
+    _slope_range(pmin, pmax)
     fixture_rows = [r for r in fixture_rows if pmin <= r[0] <= pmax]
     report = search.enumerate_search(pmin, pmax, mode="square",
                                      threads=args.threads)
@@ -199,6 +210,7 @@ def cmd_group(args):
 
 
 def cmd_plotdata(args):
+    _slope_range(2, args.pmax)
     report = search.enumerate_search(2, args.pmax, mode="square",
                                      threads=args.threads)
     pts = search.plotdata(report, args.d)
@@ -207,6 +219,8 @@ def cmd_plotdata(args):
 
 
 def cmd_ras(args):
+    if args.pmax < 4:
+        raise UsageError(f"--pmax must be at least 4, got {args.pmax}")
     violations = casson.ras_verify(args.pmax)
     if violations:
         for p, q in violations:
@@ -299,9 +313,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

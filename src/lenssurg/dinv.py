@@ -1,14 +1,20 @@
 """Correction terms d(L(p,q), i) of lens spaces and the Spin^c relabeling Q.
 
 L(p,q) is the p/q-surgery on the unknot with the orientation for which
-d(L(p,1), i) = ((2i - p)^2 - p) / (4p).  General (p,q) values come from the
-Euclidean recursion
+d(L(p,1), i) = ((2i - p)^2 - p) / (4p).  Every d(L(p,q), i) lies in
+(1/4p)Z, so the terms are stored as the integers
 
-    d(p, q, i) = ((2i + 1 - p - q)^2 - pq) / (4pq) - d(q, p mod q, i mod q)
+    N(p, q, i) = 4p * d(L(p,q), i).
 
-with base case d(1, 0, 0) = 0, indices always reduced into [0, modulus).
-The labeling convention is pinned by the certification anchors; see the
-certify module tests.
+General (p,q) values come from the Euclidean recursion of Ozsvath-Szabo
+(math/0110169, Prop. 4.8), scaled by 4p:
+
+    N(p, q, i) = ((2i + 1 - p - q)^2 - pq - p * N(q, p mod q, i mod q)) / q
+
+with base case N(1, 0, 0) = 0, indices always reduced into [0, modulus).
+The division is exact; a remainder raises ArithmeticError.  d_lens and
+d_lens_p1 give the Fraction values N / (4p).  The labeling convention is
+pinned by the certification anchors; see the certify module tests.
 """
 
 from fractions import Fraction
@@ -27,21 +33,22 @@ def d_lens_p1(p: int, i: int) -> Fraction:
 
 @lru_cache(maxsize=256)
 def d_vector(p: int, q: int) -> tuple:
-    """All p correction terms of L(p,q), indexed by i in Z/p.
+    """All p scaled correction terms N_i = 4p * d(L(p,q), i), indexed by i in Z/p.
 
     Built level by level along the Euclidean descent, so the cost is
-    O(p + q + ...) Fraction operations and the cache stays small.
+    O(p + q + ...) integer operations and the cache stays small.
     """
     if p == 1 and q == 0:
-        return (Fraction(0),)
+        return (0,)
     if not 0 < q < p or gcd(p, q) != 1:
         raise ValueError(f"bad lens parameters ({p}, {q})")
     lower = d_vector(q, p % q)
-    den = 4 * p * q
-    return tuple(
-        Fraction((2 * i + 1 - p - q) ** 2 - p * q, den) - lower[i % q]
-        for i in range(p)
-    )
+    nums = [(2 * i + 1 - p - q) ** 2 - p * q - p * lower[i % q] for i in range(p)]
+    out = tuple(n // q for n in nums)
+    # floor division leaves remainders in [0, q): they all vanish iff their sum does
+    if sum(nums) != q * sum(out):
+        raise ArithmeticError(f"correction terms of L({p},{q}) are not in (1/4p)Z")
+    return out
 
 
 def d_lens(p: int, q: int, i: int) -> Fraction:
@@ -53,7 +60,7 @@ def d_lens(p: int, q: int, i: int) -> Fraction:
         raise ValueError(f"need 0 < q < p, got ({p}, {q})")
     if not 0 <= i < p:
         raise ValueError(f"index {i} out of range for modulus {p}")
-    return d_vector(p, q)[i]
+    return Fraction(d_vector(p, q)[i], 4 * p)
 
 
 def spin_c_c(h: int, p: int) -> int:

@@ -13,6 +13,7 @@ exact certification pipeline.  The screen is validated against the plain
 pipeline on small slopes in the test suite.
 """
 
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, isqrt
@@ -174,8 +175,10 @@ def _map_over_p(ps, mode, threads):
                 keyed = pool.map(_worker, [(p, mode) for p in ps], chunksize=32)
             keyed.sort(key=lambda kv: kv[0])
             return [kv[1] for kv in keyed]
-        except (OSError, ValueError):
-            pass  # e.g. sandboxed environments without fork support
+        except (OSError, ValueError) as err:
+            # e.g. sandboxed environments without fork support
+            warnings.warn(f"process pool failed ({err!r}); searching serially",
+                          RuntimeWarning, stacklevel=3)
     return [_search_one_p(p, mode) for p in ps]
 
 

@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from lenssurg.certify import (
     derive_d,
     lift_to_d2,
 )
+from lenssurg.cli import main
 from lenssurg.search import h_class_set
 from golden import (
     DELTA_K2,
@@ -84,12 +87,14 @@ def test_certify_rejections():
     r = certify(9, 2, 4)
     assert isinstance(r, Rejection)
     assert r.stage == "square-test"
+    assert r.detail == "2 is not a square mod 9"
     r = certify(12, 3, 5)
     assert r.stage == "coprimality"
     # q a residue but not the square class of h
     assert is_square_mod(1, 7)
     r = certify(7, 1, 2)
     assert r.stage == "square-test"
+    assert r.detail == "[h^2]_p = 4 names neither 1 nor its inverse"
 
 
 def test_certify_symmetry_over_class_reps():
@@ -190,3 +195,24 @@ def test_os_form_of_every_certificate():
     for p, q, h in [(8, 1, 3), (22, 3, 5), (38, 7, 7), (7, 2, 2)]:
         cert = certify(p, q, h)
         assert os_form_check(cert.poly) is not None
+
+
+GOLDEN_CERTS = Path(__file__).parent / "golden_certs"
+
+
+@pytest.mark.parametrize("argv", [
+    (22, 3, 5),
+    (1993, 408, 49),
+    (2001, 721, 82),
+    (1993, 312, 312),   # d = 0
+])
+def test_certify_json_golden(argv, capsys):
+    assert main(["certify", *map(str, argv), "--json"]) == 0
+    golden = GOLDEN_CERTS / f"certify_{'_'.join(map(str, argv))}.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def test_lift_to_d2_json_golden():
+    lift = lift_to_d2(certify(1993, 312, 312))
+    text = json.dumps(certificate_to_json(lift), sort_keys=True) + "\n"
+    assert text == (GOLDEN_CERTS / "lift_1993_312_312.json").read_text()

@@ -145,3 +145,33 @@ def test_ras(capsys):
     code, out, _ = run(capsys, "ras", "--pmax", "20")
     assert code == 0
     assert "no violations" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--pmin", "9", "--pmax", "3"),
+    ("search", "--pmin", "1", "--pmax", "3"),
+    ("tables", "--verify", "table1", "--pmin", "50", "--pmax", "40"),
+    ("plotdata", "--pmax", "1", "--d", "2"),
+    ("ras", "--pmax", "3"),
+])
+def test_bad_ranges_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error:")
+
+
+def test_tables_unreadable_fixture_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "tables", "--verify", str(tmp_path / "missing.csv"))
+    assert code == 2
+    assert "cannot read table" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    from lenssurg import search
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(search, "enumerate_search", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["search", "--pmax", "10", "--threads", "1"])

@@ -1,9 +1,42 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 
-from lenssurg.dinv import d_lens, d_lens_p1, spin_c_Q
+from lenssurg import dinv
+from lenssurg.dinv import d_lens, d_lens_p1, d_vector, spin_c_Q
+
+
+@lru_cache(maxsize=None)
+def fraction_d_vector(p, q):
+    """Oracle: the Ozsvath-Szabo recursion evaluated directly in Fractions.
+
+    d(p, q, i) = ((2i + 1 - p - q)^2 - pq) / (4pq) - d(q, p mod q, i mod q)
+    """
+    if p == 1 and q == 0:
+        return (Fraction(0),)
+    lower = fraction_d_vector(q, p % q)
+    return tuple(Fraction((2 * i + 1 - p - q) ** 2 - p * q, 4 * p * q) - lower[i % q]
+                 for i in range(p))
+
+
+def test_scaled_terms_match_fraction_recursion():
+    for p in range(2, 160):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            n = d_vector(p, q)
+            assert all(type(x) is int for x in n), (p, q)
+            assert tuple(Fraction(x, 4 * p) for x in n) == fraction_d_vector(p, q), (p, q)
+
+
+def test_inexact_division_raises(monkeypatch):
+    raw = d_vector.__wrapped__
+    # a lower level that is not 4q * d(L(2,1), .) leaves a remainder at (5, 2)
+    monkeypatch.setattr(dinv, "d_vector", lambda p, q: (1,) * p)
+    with pytest.raises(ArithmeticError):
+        raw(5, 2)
 
 
 @pytest.mark.parametrize("p,i,expected", [

@@ -172,3 +172,18 @@ def test_conjecture_check():
     assert conjecture_check(certify(8, 1, 3)) is None
     with pytest.raises(ValueError):
         conjecture_check(certify(7, 2, 2))  # d = 0
+
+
+def test_pool_failure_warns_and_falls_back_to_serial(monkeypatch):
+    import multiprocessing
+
+    class NoFork:
+        def Pool(self, *args, **kwargs):
+            raise OSError("fork is not permitted")
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoFork())
+    with pytest.warns(RuntimeWarning, match="fork is not permitted"):
+        pooled = enumerate_search(2, 40, mode="exhaustive", threads=2)
+    serial = enumerate_search(2, 40, mode="exhaustive", threads=1)
+    assert report_json(pooled) == report_json(serial)
+    assert pooled.certificates == serial.certificates
