@@ -11,8 +11,9 @@ h, h' the canonical representatives of h and h^{-1} in [1, p).
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import gcd
+
+import numpy as np
 
 from .arith import mod_inverse
 
@@ -21,6 +22,7 @@ __all__ = [
     "ReducedVector",
     "UnreduceError",
     "phi",
+    "coverage_depth",
     "reduced_coeffs",
     "os_form_check",
     "genus_from_reduced",
@@ -130,8 +132,8 @@ class ReducedVector:
 def phi(p: int, q: int, h: int, k: int) -> int:
     """#{j in [1, h'] : [qj - k]_p in [1, h]} with h = [h]_p, h' = [h^{-1}]_p.
 
-    Direct iteration; reduced_coeffs uses an equivalent O(p + h') sweep and
-    is cross-checked against this in the tests.
+    Direct iteration: the reference count that coverage_depth is
+    cross-checked against in the tests.
     """
     h = h % p
     hp = mod_inverse(h, p)
@@ -144,33 +146,37 @@ def phi(p: int, q: int, h: int, k: int) -> int:
     return count
 
 
+def coverage_depth(p: int, q: int, h: int, hp: int) -> np.ndarray:
+    """Phi^k_{p,q}(h) for every k in [0, p), as an int64 numpy array.
+
+    Takes 0 <= q < p, h = [h]_p and hp = [h^{-1}]_p.  Each j in [1, hp]
+    counts towards Phi^k exactly for k in the circular window
+    [qj - h, qj - 1] mod p, so the windows are summed with a difference
+    array in integer numpy ops, exact while p^2 < 2^63.
+    """
+    starts = (q * np.arange(1, hp + 1, dtype=np.int64)) % p
+    lo = (starts - h) % p
+    diff = np.bincount(lo, minlength=p) - np.bincount(starts, minlength=p)
+    depth = np.cumsum(diff)
+    depth += int(np.count_nonzero(lo > starts))  # windows wrapping past 0
+    return depth
+
+
 def reduced_coeffs(p: int, q: int, h: int) -> ReducedVector:
     """Reduced Alexander coefficients a~_i = -m + Phi^{hi+c}_{p,q}(h) for i in Z/p.
 
-    Computed for all residues at once: Phi^k, as a function of k, is the
-    coverage depth of h' circular intervals of length h, accumulated with a
-    difference array.  Always sums to 1.
+    Computed for all residues at once by indexing coverage_depth.  Always
+    sums to 1.
     """
     h = h % p
     hp = mod_inverse(h, p)
     if gcd(q, p) != 1:
         raise ValueError(f"gcd({q}, {p}) != 1")
     m = (h * hp - 1) // p
-    # j contributes to Phi^k exactly for k in the circular window [qj-h, qj-1].
-    diff = [0] * (p + 1)
-    for j in range(1, hp + 1):
-        hi = (q * j) % p          # window is [hi - h, hi - 1] mod p
-        lo = (hi - h) % p
-        if lo < hi:
-            diff[lo] += 1
-            diff[hi] -= 1
-        else:                      # wraps around 0
-            diff[0] += 1
-            diff[hi] -= 1
-            diff[lo] += 1
-    cover = list(accumulate(diff[:p]))
     c = ((h + 1 + p) * (h - 1) // 2) % p
-    return ReducedVector(p, tuple([cover[(h * i + c) % p] - m for i in range(p)]))
+    depth = coverage_depth(p, q % p, h, hp)
+    k = (h * np.arange(p, dtype=np.int64) + c) % p
+    return ReducedVector(p, tuple((depth[k] - m).tolist()))
 
 
 def os_form_check(poly: SymmetricPoly):

@@ -4,8 +4,8 @@ The authoritative route sums correction terms (HF_red of a lens space is
 zero, so the surgery-formula version of the invariant collapses to
 lambda = -(sum_i d(L(p,q), i)) / (2p) = -(sum_i N_i) / (8p^2), with the
 scaled terms N_i = 4p * d(L(p,q), i) of the dinv module).  The Dedekind-sum
-route exists as an independent oracle; its single global sign is calibrated
-once against the first route and cached for the process lifetime.
+route lambda = -s(q, p) / 2 exists as an independent oracle; its sign is
+fixed, and the tests pin it by checking both routes against each other.
 """
 
 from fractions import Fraction
@@ -16,9 +16,6 @@ from .dinv import d_vector
 
 __all__ = ["lambda_rustamov", "lambda_dedekind", "euler_check", "ras_verify"]
 
-_CALIBRATION_PMAX = 100
-_dedekind_sign = None
-
 
 def lambda_rustamov(p: int, q: int) -> Fraction:
     """lambda(L(p,q)) = -(sum over Spin^c of d) / (2p) = -(sum of N) / (8p^2)."""
@@ -27,40 +24,11 @@ def lambda_rustamov(p: int, q: int) -> Fraction:
     return Fraction(-sum(d_vector(p, q)), 8 * p * p)
 
 
-def _calibrate_sign() -> int:
-    """Fix the global sign relating lambda to s(q,p)/2 on all p <= 100."""
-    sign = None
-    for p in range(2, _CALIBRATION_PMAX + 1):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            lam = lambda_rustamov(p, q)
-            half_s = dedekind_sum(q, p) / 2
-            if lam == 0 and half_s == 0:
-                continue
-            if half_s == 0 or lam / half_s not in (1, -1):
-                raise RuntimeError(
-                    f"no single sign matches the two lambda routes at ({p}, {q}): "
-                    f"{lam} vs s/2 = {half_s}"
-                )
-            this = 1 if lam == half_s else -1
-            if sign is None:
-                sign = this
-            elif sign != this:
-                raise RuntimeError(
-                    f"sign calibration inconsistent, first counterexample ({p}, {q})"
-                )
-    return sign
-
-
 def lambda_dedekind(p: int, q: int) -> Fraction:
-    """Independent route: calibrated sign times s(q, p) / 2."""
-    global _dedekind_sign
+    """Independent route: lambda(L(p,q)) = -s(q, p) / 2."""
     if gcd(p, q) != 1:
         raise ValueError(f"gcd({p}, {q}) != 1")
-    if _dedekind_sign is None:
-        _dedekind_sign = _calibrate_sign()
-    return _dedekind_sign * dedekind_sum(q, p) / 2
+    return -dedekind_sum(q, p) / 2
 
 
 def euler_check(p: int, q: int, d, poly_dd1: int) -> bool:

@@ -216,9 +216,9 @@ def certify(p: int, q: int, h: int, require_even_d: bool = True):
                           require_even_d=require_even_d)
 
 
-def _certify_class(p, h, q_input=None, require_even_d=True, q_override=None):
-    """Pipeline body; q_override forces a reduction parameter (tests only)."""
-    qs = square_rep(p, h) if q_override is None else q_override
+def _certify_class(p, h, q_input=None, require_even_d=True):
+    """Pipeline body for a dual class h, with q* = [h^2]_p."""
+    qs = square_rep(p, h)
     q_canon = canonical_q(p, qs if q_input is None else q_input)
     h_canon = canonical_h(p, h)
 

@@ -18,7 +18,7 @@ from math import gcd
 from . import casson, search, tables
 from .alex import reduced_coeffs
 from .certify import Certificate, certificate_to_json, certify
-from .dinv import d_lens, d_lens_p1
+from .dinv import d_lens
 from .fgroup import abelianization_order, build_presentation, todd_coxeter
 
 USAGE_ERROR = 2
@@ -69,12 +69,10 @@ def cmd_dinv(args):
     if args.i is not None:
         if not 0 <= args.i < p:
             raise UsageError(f"i must lie in [0, {p})")
-        val = d_lens_p1(p, args.i) if q == 1 else d_lens(p, q, args.i)
-        print(f"{args.i} {frac_str(val)}")
+        print(f"{args.i} {frac_str(d_lens(p, q, args.i))}")
     else:
         for i in range(p):
-            val = d_lens_p1(p, i) if q == 1 else d_lens(p, q, i)
-            print(f"{i} {frac_str(val)}")
+            print(f"{i} {frac_str(d_lens(p, q, i))}")
     return 0
 
 

@@ -6,10 +6,10 @@ parameter is forced to the square q = [h^2]_p (exhaustive mode accounts
 for the remaining coprime (q, h) pairs in bulk, since any pair whose q is
 not the square class of h is rejected by the quadratic-residue stage).
 
-A candidate first passes a coverage-depth screen (integer-exact, numpy):
-the reduced coefficients -m + Phi^k can only support an alternating
-polynomial if every value lies in [-1, 2].  Survivors go through the full
-exact certification pipeline.  The screen is validated against the plain
+A candidate first passes a screen on alex.coverage_depth: the reduced
+coefficients -m + Phi^k can only support an alternating polynomial if
+every value lies in [-1, 2].  Survivors go through the full exact
+certification pipeline.  The screen is validated against the plain
 pipeline on small slopes in the test suite.
 """
 
@@ -18,8 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-import numpy as np
-
+from .alex import coverage_depth
 from .arith import mod_inverse
 from .certify import Certificate, Rejection, _certify_class, canonical_h, canonical_q
 
@@ -84,19 +83,15 @@ def _screen(p, h, hp):
     """Necessary condition: all reduced coefficients lie in [-1, 2].
 
     Works with the orbit member whose inverse is smallest (the reduced
-    coefficient vector is an orbit invariant), building the coverage depth
-    of h' circular windows of length h with integer numpy ops.
+    coefficient vector is an orbit invariant, and q = [h^2]_p moves with
+    the member), so coverage_depth sums the fewest windows.
     """
     # swap to the representative with the cheaper window count
     if hp > h:
         h, hp = hp, h
     q = (h * h) % p
     m = (h * hp - 1) // p
-    starts = (q * np.arange(1, hp + 1, dtype=np.int64)) % p
-    lo = (starts - h) % p
-    diff = np.bincount(lo, minlength=p) - np.bincount(starts, minlength=p)
-    depth = np.cumsum(diff)
-    depth += int(np.count_nonzero(lo > starts))  # windows wrapping past 0
+    depth = coverage_depth(p, q, h, hp)
     return m - 1 <= int(depth.min()) and int(depth.max()) <= m + 2
 
 
@@ -161,8 +156,7 @@ def enumerate_search(p_min: int, p_max: int, mode: str = "square",
 
 
 def _worker(args):
-    p, mode = args
-    return p, _search_one_p(p, mode)
+    return _search_one_p(*args)
 
 
 def _map_over_p(ps, mode, threads):
@@ -172,9 +166,8 @@ def _map_over_p(ps, mode, threads):
 
         try:
             with mp.get_context("fork").Pool(threads) as pool:
-                keyed = pool.map(_worker, [(p, mode) for p in ps], chunksize=32)
-            keyed.sort(key=lambda kv: kv[0])
-            return [kv[1] for kv in keyed]
+                # map returns results in input order, whatever the scheduling
+                return pool.map(_worker, [(p, mode) for p in ps], chunksize=32)
         except (OSError, ValueError) as err:
             # e.g. sandboxed environments without fork support
             warnings.warn(f"process pool failed ({err!r}); searching serially",

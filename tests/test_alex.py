@@ -54,18 +54,18 @@ def test_reduced_coeffs_is_reduction_of_golden_polynomials():
 
 
 def test_reduced_coeffs_matches_direct_count():
-    # the sweep implementation against the definitional per-residue count
+    # coverage_depth against the definitional per-residue count, for every
+    # coprime (q, h) and not only the square class q = h^2
     for p in range(2, 36):
-        for h in range(1, p):
-            if gcd(h, p) != 1:
-                continue
-            q = h * h % p
-            v = reduced_coeffs(p, q, h)
+        units = [x for x in range(1, p) if gcd(x, p) == 1]
+        for h in units:
             hp = pow(h, -1, p)
             m = (h * hp - 1) // p
             c = ((h + 1 + p) * (h - 1) // 2) % p
-            direct = tuple(-m + phi(p, q, h, (h * i + c) % p) for i in range(p))
-            assert v.entries == direct, (p, q, h)
+            for q in units:
+                v = reduced_coeffs(p, q, h)
+                direct = tuple(-m + phi(p, q, h, (h * i + c) % p) for i in range(p))
+                assert v.entries == direct, (p, q, h)
 
 
 def test_reduced_coeffs_sum_is_one_for_any_coprime_triple():

@@ -134,11 +134,13 @@ def test_plotdata_empty_below_8():
 
 
 def test_threaded_search_is_deterministic():
-    one = enumerate_search(2, 80, mode="square", threads=1)
-    two = enumerate_search(2, 80, mode="square", threads=2)
-    assert report_csv(one) == report_csv(two)
-    assert one.rejections == two.rejections
-    assert one.d_histogram == two.d_histogram
+    for mode, p_max in (("square", 80), ("exhaustive", 120)):
+        one = enumerate_search(2, p_max, mode, threads=1)
+        two = enumerate_search(2, p_max, mode, threads=2)
+        assert one.certificates == two.certificates
+        assert one.rejections == two.rejections
+        assert one.d_histogram == two.d_histogram
+        assert one.trivial_pairs == two.trivial_pairs
 
 
 def test_families_anchors():
