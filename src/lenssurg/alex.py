@@ -57,19 +57,6 @@ class SymmetricPoly:
             raise ValueError("top coefficient must be nonzero")
         object.__setattr__(self, "coeffs", c)
 
-    @classmethod
-    def from_coeff_map(cls, items) -> "SymmetricPoly":
-        """Build from {exponent: coefficient}; negative exponents must mirror."""
-        d = dict(items)
-        g = max((abs(i) for i, a in d.items() if a), default=0)
-        coeffs = []
-        for i in range(g + 1):
-            a = d.get(i, 0)
-            if d.get(-i, a) != a:
-                raise ValueError(f"coefficients at +-{i} differ")
-            coeffs.append(a)
-        return cls(tuple(coeffs))
-
     def coeff(self, i: int) -> int:
         i = abs(i)
         return self.coeffs[i] if i < len(self.coeffs) else 0
@@ -101,9 +88,6 @@ class SymmetricPoly:
         for sign, body in terms[1:]:
             out += f" {sign} {body}"
         return out
-
-
-ONE = SymmetricPoly((1,))
 
 
 @dataclass(frozen=True)
@@ -300,7 +284,11 @@ def delta_relation_check(delta_s3: SymmetricPoly, delta_y: SymmetricPoly, p: int
 
 
 def delta_lift(poly: SymmetricPoly, p: int) -> SymmetricPoly:
-    """Apply the degree shift: subtract t^{+-(p-1)/2}, add t^{+-(p+1)/2}."""
+    """Apply the degree shift: subtract t^{+-(p-1)/2}, add t^{+-(p+1)/2}.
+
+    certify.lift_to_d2 gets the same polynomial from unreduce at genus
+    (p+1)/2; the tests check the two against each other.
+    """
     if p % 2 == 0:
         raise ValueError("the degree-shift relation needs odd p")
     top = (p + 1) // 2

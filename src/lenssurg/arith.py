@@ -12,7 +12,6 @@ __all__ = [
     "reduce_mod",
     "mod_inverse",
     "is_square_mod",
-    "sawtooth",
     "dedekind_sum",
     "Fraction",
     "gcd",
@@ -39,13 +38,6 @@ def is_square_mod(q: int, p: int) -> bool:
     """True iff q is a quadratic residue modulo p (brute scan over [0, p))."""
     q = q % p
     return any(x * x % p == q for x in range(p))
-
-
-def sawtooth(num: int, den: int) -> Fraction:
-    """((num/den)): x - floor(x) - 1/2 for non-integer x, else 0."""
-    if num % den == 0:
-        return Fraction(0)
-    return Fraction(num % den, den) - Fraction(1, 2)
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:

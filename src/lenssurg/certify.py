@@ -20,25 +20,24 @@ scaled by 4p, in integers: with N = 4p * d(L(p,q*), .) from dinv.d_vector,
     D - N[Q(i)] + (2i - p)^2 - p == 8p * t~_i    for every i in Z/p.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
-from . import alex
 from .alex import (
     ReducedVector,
     SymmetricPoly,
     UnreduceError,
     dd1,
     genus_from_reduced,
-    os_form_check,
+    os_form_check,  # not called here; perfbench/spans.py wraps this binding
     reduced_coeffs,
     reduced_torsions,
     torsion_from_poly,
     unreduce,
 )
 from .arith import is_square_mod, mod_inverse
-from .casson import lambda_rustamov
+from .casson import euler_check, lambda_rustamov
 from .dinv import d_vector, spin_c_c
 
 __all__ = [
@@ -182,16 +181,16 @@ def _formula_failure(p: int, h: int, c: int, n: tuple, tred: tuple, scaled_d: in
 
 
 def bounds_check(g: int, d: int, p: int) -> bool:
-    """2g - 1 <= p and p < 4g(g+1)/(g+2d), as exact rational comparisons.
+    """2g - 1 <= p and p < 4g(g+1)/(g+2d), compared exactly in integers.
 
-    Requires g >= 1 and g + 2d > 0; a violation of the latter is reported
-    separately by the pipeline.
+    Requires g >= 1 and g + 2d > 0 (so the second bound may be multiplied
+    out); a violation of the latter is reported separately by the pipeline.
     """
     if g < 1:
         raise ValueError("bounds apply to nontrivial knots (g >= 1)")
     if g + 2 * d <= 0:
         raise ValueError("g + 2d must be positive")
-    return 2 * g - 1 <= p and p < Fraction(4 * g * (g + 1), g + 2 * d)
+    return 2 * g - 1 <= p and p * (g + 2 * d) < 4 * g * (g + 1)
 
 
 def certify(p: int, q: int, h: int, require_even_d: bool = True):
@@ -211,29 +210,32 @@ def certify(p: int, q: int, h: int, require_even_d: bool = True):
             f"[h^2]_p = {square_rep(p, h)} names neither {q} nor its inverse",
         )
     # Work with the canonical class representative so that all four
-    # equivalent h inputs produce an identical certificate.
-    return _certify_class(p, canonical_h(p, h), q_input=q,
-                          require_even_d=require_even_d)
+    # equivalent h inputs produce an identical certificate; q is [h^2]_p or
+    # its inverse, so it has the canonical form of the square class.
+    return _certify_class(p, canonical_h(p, h), require_even_d=require_even_d)
 
 
-def _certify_class(p, h, q_input=None, require_even_d=True):
-    """Pipeline body for a dual class h, with q* = [h^2]_p."""
+def _certify_class(p, h, require_even_d=True, g=None):
+    """Pipeline body for a dual class h, with q* = [h^2]_p.
+
+    The reduced vector is reconstructed at genus g, read off the vector when
+    g is None.  For odd p a vector can have a second reconstruction, at
+    g = (p+1)/2; lift_to_d2 asks for that one.
+    """
     qs = square_rep(p, h)
-    q_canon = canonical_q(p, qs if q_input is None else q_input)
+    q_canon = canonical_q(p, qs)
     h_canon = canonical_h(p, h)
 
     v = reduced_coeffs(p, qs, h)
     if v[0] not in (-1, 1) or not v.is_symmetric():
         return Rejection(p, q_canon, h_canon, "os-form",
                          "reduced coefficients cannot reduce an alternating polynomial")
-    g = genus_from_reduced(v)
+    if g is None:
+        g = genus_from_reduced(v)
     try:
-        poly = unreduce(v, g)
+        poly = unreduce(v, g)   # checks the alternating form itself
     except UnreduceError as err:
         return Rejection(p, q_canon, h_canon, "os-form", str(err))
-    os_form = os_form_check(poly)
-    if os_form is None:
-        return Rejection(p, q_canon, h_canon, "os-form", "not an alternating polynomial")
 
     torsions = torsion_from_poly(poly)
     if any(t < 0 for t in torsions):
@@ -266,10 +268,7 @@ def _certify_class(p, h, q_input=None, require_even_d=True):
             return Rejection(p, q_canon, h_canon, "bound-violation",
                              f"(g, d, p) = ({g}, {d}, {p})", derived_d=d)
 
-    lam_pq = lambda_rustamov(p, qs)
-    lam_p1 = lambda_rustamov(p, 1)
-    euler_ok = p * (Fraction(d) + 2 * lam_pq - 2 * lam_p1) == dd1(poly)
-    if not euler_ok:
+    if not euler_check(p, qs, d, dd1(poly)):
         # implied by the per-i surgery formula; kept as an independent guard
         return Rejection(p, q_canon, h_canon, "correction-mismatch",
                          "Euler identity fails", derived_d=d)
@@ -291,55 +290,32 @@ def _certify_class(p, h, q_input=None, require_even_d=True):
         reduced=v,
         poly=poly,
         torsions=torsions,
-        lambda_pq=lam_pq,
-        lambda_p1=lam_p1,
+        lambda_pq=lambda_rustamov(p, qs),
+        lambda_p1=lambda_rustamov(p, 1),
         checks=checks,
     )
 
 
 def lift_to_d2(cert: Certificate) -> Certificate:
-    """Partner certificate with d raised by 2 via the degree-shift relation.
+    """Partner certificate with d raised by 2: the second reconstruction.
 
-    Valid when p is odd and the shifted polynomial (genus (p+1)/2, so
-    2g - 1 = p exactly) still has alternating form; every surgery-formula
-    equation continues to hold because all reduced torsions grow by 1.
+    For odd p the degree-shift relation gives a polynomial of genus (p+1)/2,
+    so 2g - 1 = p exactly, with the same reduction mod p as cert.poly.  The
+    lift runs the whole pipeline on the same reduced vector at that genus.
+    Raises ValueError for even p, for a rejection at any stage, and when the
+    reconstruction does not raise d by 2 (cert is already at that genus).
     """
     p = cert.p
     if p % 2 == 0:
         raise ValueError("degree-shift lift needs odd p")
-    poly = alex.delta_lift(cert.poly, p)
-    if os_form_check(poly) is None:
-        raise ValueError("lifted polynomial is not alternating")
-    g = (p + 1) // 2
-    torsions = torsion_from_poly(poly)
-    if any(t < 0 for t in torsions):
-        raise ValueError("lifted torsions go negative")
-    tred = reduced_torsions(torsions, p)
-    d = cert.d + 2
-    h = cert.datum.h
-    qs = cert.q_square
-    i = _formula_failure(p, h, spin_c_c(h, p), d_vector(p, qs), tred, 4 * p * d)
-    if i is not None:
-        raise ValueError(f"lifted surgery formula fails at i = {i}")
-    euler_ok = p * (Fraction(d) + 2 * cert.lambda_pq - 2 * cert.lambda_p1) == dd1(poly)
-    if not euler_ok:
-        raise ValueError("lifted Euler identity fails")
-    if not bounds_check(g, d, p):
-        raise ValueError("lifted datum violates the genus-slope bounds")
-    checks = tuple((name, ok) for name, ok in cert.checks if name != "bounds")
+    lift = _certify_class(p, cert.datum.h, require_even_d=False, g=(p + 1) // 2)
+    if isinstance(lift, Rejection):
+        raise ValueError(f"lift rejected at stage {lift.stage} ({lift.detail})")
+    if lift.d != cert.d + 2:
+        raise ValueError(f"lift has d = {lift.d}, not d + 2 = {cert.d + 2}")
+    checks = tuple((name, ok) for name, ok in lift.checks if name != "bounds")
     checks += (("bounds", True), ("lifted-by-degree-shift", True))
-    datum = SurgeryDatum(p=p, q=cert.datum.q, h=h, d=d, g=g)
-    return Certificate(
-        datum=datum,
-        q_square=qs,
-        reduced=cert.reduced,
-        poly=poly,
-        torsions=torsions,
-        lambda_pq=cert.lambda_pq,
-        lambda_p1=cert.lambda_p1,
-        checks=checks,
-        boundary_genus=True,
-    )
+    return replace(lift, checks=checks, boundary_genus=True)
 
 
 def certificate_to_json(cert: Certificate) -> dict:

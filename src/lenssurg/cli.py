@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from math import gcd
 
 from . import casson, search, tables
@@ -28,11 +27,6 @@ class UsageError(Exception):
     pass
 
 
-def frac_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _positive(value, name):
     if value < 1:
         raise UsageError(f"{name} must be positive, got {value}")
@@ -42,6 +36,16 @@ def _positive(value, name):
 def _coprime(a, b, what):
     if gcd(a, b) != 1:
         raise UsageError(f"{what}: gcd({a}, {b}) != 1")
+
+
+def _surgery_datum(args):
+    """Validate p >= 2 and p coprime to q and h; returns p."""
+    p = _positive(args.p, "p")
+    if p < 2:
+        raise UsageError("p must be at least 2")
+    _coprime(p, args.q, "lens parameter q")
+    _coprime(p, args.h, "dual class h")
+    return p
 
 
 def _slope_range(pmin, pmax):
@@ -69,19 +73,15 @@ def cmd_dinv(args):
     if args.i is not None:
         if not 0 <= args.i < p:
             raise UsageError(f"i must lie in [0, {p})")
-        print(f"{args.i} {frac_str(d_lens(p, q, args.i))}")
+        print(f"{args.i} {d_lens(p, q, args.i)}")
     else:
         for i in range(p):
-            print(f"{i} {frac_str(d_lens(p, q, i))}")
+            print(f"{i} {d_lens(p, q, i)}")
     return 0
 
 
 def cmd_alex(args):
-    p = _positive(args.p, "p")
-    if p < 2:
-        raise UsageError("p must be at least 2")
-    _coprime(p, args.q, "lens parameter q")
-    _coprime(p, args.h, "dual class h")
+    p = _surgery_datum(args)
     v = reduced_coeffs(p, args.q, args.h)
     print("reduced:", " ".join(str(x) for x in v.entries))
     result = certify(p, args.q, args.h, require_even_d=not args.allow_odd_d)
@@ -103,19 +103,15 @@ def cmd_lambda(args):
     _coprime(p, q, "lens space")
     lam = casson.lambda_rustamov(p, q)
     check = casson.lambda_dedekind(p, q)
-    print(f"lambda(L({p},{q})) = {frac_str(lam)}")
+    print(f"lambda(L({p},{q})) = {lam}")
     if lam != check:
-        print(f"WARNING: independent route disagrees: {frac_str(check)}")
+        print(f"WARNING: independent route disagrees: {check}")
         return 1
     return 0
 
 
 def cmd_certify(args):
-    p = _positive(args.p, "p")
-    if p < 2:
-        raise UsageError("p must be at least 2")
-    _coprime(p, args.q, "lens parameter q")
-    _coprime(p, args.h, "dual class h")
+    p = _surgery_datum(args)
     result = certify(p, args.q, args.h, require_even_d=not args.allow_odd_d)
     if isinstance(result, Certificate):
         if args.json:
@@ -125,8 +121,8 @@ def cmd_certify(args):
             print(f"p={d.p} q={d.q} h={d.h} d={d.d} g={d.g}")
             print("polynomial:", result.poly)
             print("torsions:", " ".join(str(t) for t in result.torsions) or "0")
-            print("lambda(L(p,q)) =", frac_str(result.lambda_pq),
-                  " lambda(L(p,1)) =", frac_str(result.lambda_p1))
+            print("lambda(L(p,q)) =", result.lambda_pq,
+                  " lambda(L(p,1)) =", result.lambda_p1)
             for name, ok in result.checks:
                 print(f"check {name}: {'PASS' if ok else 'FAIL'}")
         return 0
@@ -187,11 +183,7 @@ def cmd_tables(args):
 
 
 def cmd_group(args):
-    p = _positive(args.p, "p")
-    if p < 2:
-        raise UsageError("p must be at least 2")
-    _coprime(p, args.q, "lens parameter q")
-    _coprime(p, args.h, "dual class h")
+    p = _surgery_datum(args)
     result = certify(p, args.q, args.h)
     if not isinstance(result, Certificate):
         print(f"rejected at stage: {result.stage} ({result.detail})")

@@ -133,10 +133,6 @@ def _search_one_p(p, mode):
     return certs, rejections, d_hist, trivial
 
 
-def _p_range(p_min, p_max):
-    return range(max(p_min, 2), p_max + 1)
-
-
 def enumerate_search(p_min: int, p_max: int, mode: str = "square",
                      threads: int = 1) -> SearchReport:
     """Search all slopes in [p_min, p_max]; deterministic for any thread count."""
@@ -145,7 +141,7 @@ def enumerate_search(p_min: int, p_max: int, mode: str = "square",
     if not 2 <= p_min <= p_max:
         raise ValueError(f"bad range [{p_min}, {p_max}]")
     report = SearchReport(p_min=p_min, p_max=p_max, mode=mode)
-    results = _map_over_p(_p_range(p_min, p_max), mode, threads)
+    results = _map_over_p(range(p_min, p_max + 1), mode, threads)
     for certs, rejections, d_hist, trivial in results:
         certs.sort(key=lambda c: (c.p, c.datum.q, c.datum.h))
         report.certificates.extend(certs)

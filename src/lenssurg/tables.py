@@ -7,7 +7,7 @@ up to slope 711 and in 712..2007, with q and h in canonical form
 
 from importlib import resources
 
-__all__ = ["load_fixture", "fixture_path", "verify_rows", "TABLE_FILES"]
+__all__ = ["load_fixture", "fixture_text", "verify_rows", "TABLE_FILES"]
 
 TABLE_FILES = {"table1": "table1.csv", "table2": "table2.csv"}
 

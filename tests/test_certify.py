@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lenssurg.alex import dd1, os_form_check, reduce_poly
+from lenssurg.alex import dd1, delta_lift, os_form_check, reduce_poly
 from lenssurg.arith import is_square_mod
 from lenssurg.certify import (
     Certificate,
@@ -22,7 +22,7 @@ from lenssurg.certify import (
     lift_to_d2,
 )
 from lenssurg.cli import main
-from lenssurg.search import h_class_set
+from lenssurg.search import enumerate_search, h_class_set
 from golden import (
     DELTA_K2,
     DELTA_K3_D2,
@@ -147,7 +147,7 @@ def test_incompatible_pairs_never_certify(monkeypatch):
                 if not is_square_mod(q, p):
                     continue
                 monkeypatch.setattr(mod, "square_rep", lambda p, h, q=q: q)
-                result = _certify_class(p, h, q_input=q, require_even_d=False)
+                result = _certify_class(p, h, require_even_d=False)
                 assert isinstance(result, Rejection), (p, q, h)
 
 
@@ -178,6 +178,21 @@ def test_lift_to_d2_pairs():
         lifted = lift_to_d2(certify(p, 1, 1))
         assert lifted.poly == delta_k1(p)
         assert lifted.d == 2 and lifted.g == (p + 1) // 2
+
+
+def test_lift_is_the_degree_shift():
+    # the lift reconstructs the same reduced vector at genus (p+1)/2; the
+    # degree-shift relation delta_lift is the independent reference
+    certs = [c for c in enumerate_search(2, 151).certificates if c.p % 2]
+    assert certs
+    for cert in certs:
+        lift = lift_to_d2(cert)
+        assert lift.poly == delta_lift(cert.poly, cert.p), cert.datum
+        assert lift.reduced == cert.reduced
+        assert lift.d == cert.d + 2
+        assert 2 * lift.g - 1 == cert.p
+        with pytest.raises(ValueError):
+            lift_to_d2(lift)
 
 
 def test_even_d_flag_is_default():
