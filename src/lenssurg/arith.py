@@ -41,19 +41,20 @@ def is_square_mod(q: int, p: int) -> bool:
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:
-    """s(q, p) = sum_{k=1}^{p-1} ((k/p))((kq/p)), exactly.
+    """s(q, p) = sum_{k=1}^{p-1} ((k/p))((kq/p)), exactly, in O(log p) steps.
 
-    Inner arithmetic is pure-integer over the common denominator 4p^2;
-    a Fraction is only formed once at the end.
+    Runs the Euclidean algorithm on (p, q mod p) with the reciprocity law
+    s(q, p) + s(p, q) = (p/q + q/p + 1/(pq)) / 12 - 1/4 and s(0, 1) = 0
+    (Rademacher-Grosswald, *Dedekind Sums*).
     """
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
     if gcd(q, p) != 1:
         raise ValueError(f"gcd({q}, {p}) != 1")
-    total = 0
-    for k in range(1, p):
-        kq = (k * q) % p
-        if kq == 0:
-            continue
-        total += (2 * k - p) * (2 * kq - p)
-    return Fraction(total, 4 * p * p)
+    total, sign = Fraction(0), 1
+    q %= p
+    while q:
+        total += sign * (Fraction(p * p + q * q + 1, 12 * p * q) - Fraction(1, 4))
+        sign = -sign
+        p, q = q, p % q
+    return total

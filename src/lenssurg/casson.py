@@ -31,10 +31,13 @@ def lambda_dedekind(p: int, q: int) -> Fraction:
     return -dedekind_sum(q, p) / 2
 
 
-def euler_check(p: int, q: int, d, poly_dd1: int) -> bool:
-    """p * (d + 2*lambda(L(p,q)) - 2*lambda(L(p,1))) == Delta''(1), exactly."""
-    lhs = p * (Fraction(d) + 2 * lambda_rustamov(p, q) - 2 * lambda_rustamov(p, 1))
-    return lhs == poly_dd1
+def euler_check(p: int, d, lambda_pq: Fraction, lambda_p1: Fraction,
+                poly_dd1: int) -> bool:
+    """p * (d + 2*lambda(L(p,q)) - 2*lambda(L(p,1))) == Delta''(1), exactly.
+
+    The caller passes lambda_pq = lambda(L(p,q)) and lambda_p1 = lambda(L(p,1)).
+    """
+    return p * (Fraction(d) + 2 * lambda_pq - 2 * lambda_p1) == poly_dd1
 
 
 def ras_verify(p_max: int) -> list:

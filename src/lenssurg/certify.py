@@ -268,7 +268,8 @@ def _certify_class(p, h, require_even_d=True, g=None):
             return Rejection(p, q_canon, h_canon, "bound-violation",
                              f"(g, d, p) = ({g}, {d}, {p})", derived_d=d)
 
-    if not euler_check(p, qs, d, dd1(poly)):
+    lambda_pq, lambda_p1 = lambda_rustamov(p, qs), lambda_rustamov(p, 1)
+    if not euler_check(p, d, lambda_pq, lambda_p1, dd1(poly)):
         # implied by the per-i surgery formula; kept as an independent guard
         return Rejection(p, q_canon, h_canon, "correction-mismatch",
                          "Euler identity fails", derived_d=d)
@@ -290,8 +291,8 @@ def _certify_class(p, h, require_even_d=True, g=None):
         reduced=v,
         poly=poly,
         torsions=torsions,
-        lambda_pq=lambda_rustamov(p, qs),
-        lambda_p1=lambda_rustamov(p, 1),
+        lambda_pq=lambda_pq,
+        lambda_p1=lambda_p1,
         checks=checks,
     )
 

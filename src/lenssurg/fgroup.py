@@ -2,8 +2,13 @@
 
 A certified datum (p, q, h) determines a two-generator, two-relator
 presentation built from the step function delta_h (1 on residues 1..h,
-else 0).  Coset enumeration over the trivial subgroup then verifies the
-group order: 120 (binary icosahedral) for d = 2 data, 1 for d = 0 data.
+else 0); its relators have about p + h letters.  Coset enumeration over the
+trivial subgroup then verifies the group order: 120 (binary icosahedral)
+for d = 2 data, 1 for d = 0 data.  The enumeration first shortens a private
+copy of the relators by Nielsen moves (automorphisms of the free group, so
+the group is the same) and then runs HLT scan-and-fill on it (Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory*, sections 5.1-5.2);
+the presentation itself, and its printed form, stay as built.
 
 Words are sequences of nonzero ints: +1/-1 for the first generator and
 its inverse, +2/-2 for the second.  Printed form uses a/A/b/B.
@@ -22,6 +27,8 @@ __all__ = [
     "abelianization_order",
 ]
 
+_LETTERS = {1: "a", -1: "A", 2: "b", -2: "B"}
+
 
 @dataclass(frozen=True)
 class GroupPresentation:
@@ -35,8 +42,7 @@ class GroupPresentation:
         ]
 
     def __str__(self):
-        letters = {1: "a", -1: "A", 2: "b", -2: "B"}
-        return "\n".join("".join(letters[x] for x in word) for word in self.relators)
+        return "\n".join("".join(_LETTERS[x] for x in word) for word in self.relators)
 
 
 BINARY_ICOSAHEDRAL = GroupPresentation((
@@ -95,19 +101,68 @@ def _directions(word):
     return tuple(dirs)
 
 
+def _reduce(word):
+    """Freely, then cyclically, reduce a word written in a/A/b/B."""
+    n = None
+    while n != len(word):
+        n = len(word)
+        for pair in ("aA", "Aa", "bB", "Bb"):
+            word = word.replace(pair, "")
+    k = 0
+    while 2 * k + 1 < len(word) and word[k] == word[-1 - k].swapcase():
+        k += 1
+    return word[k:len(word) - k]
+
+
+def _simplify(pres: GroupPresentation) -> GroupPresentation:
+    """Shorten the relators by greedy elementary Nielsen moves.
+
+    A move replaces x_g by x_o^e x_g or by x_g x_o^e (o the other generator,
+    e = +-1).  It is an automorphism of the free group, so the presented
+    group does not change.  Each step applies the move that shortens the
+    total length of the freely and cyclically reduced relators the most;
+    the loop stops when no move shortens it.
+    """
+    words = [_reduce("".join(_LETTERS[x] for x in w)) for w in pres.relators]
+    total = sum(map(len, words))
+    while True:
+        best = None
+        for g, o in ("ab", "ba"):
+            for e in (o, o.swapcase()):
+                for image in (e + g, g + e):
+                    move = str.maketrans({g: image, g.upper(): image[::-1].swapcase()})
+                    cand = [_reduce(w.translate(move)) for w in words]
+                    length = sum(map(len, cand))
+                    if length < (best[0] if best else total):
+                        best = (length, cand)
+        if best is None:
+            break
+        total, words = best
+    codes = {c: x for x, c in _LETTERS.items()}
+    return GroupPresentation(tuple(tuple(codes[c] for c in w) for w in words))
+
+
 def todd_coxeter(pres: GroupPresentation, max_cosets: int = 10**6):
     """Coset enumeration over the trivial subgroup.
 
-    Returns the group order if the table closes within max_cosets vertices
-    (counting dead ones), else None.  Union-find based: tracing a relator
-    from a live coset must return to it, and each forced identification
-    merges rows, queueing any induced coincidences.
+    Returns the group order if the table closes within max_cosets cosets,
+    else None; every coset ever defined counts, dead ones included.  The
+    enumeration runs on a Nielsen-simplified copy of the relators (same
+    group, far shorter words; `pres` itself is not changed) with HLT
+    scan-and-fill: each relator is scanned forward and backward from a
+    live coset as far as the table is defined, new cosets are defined only
+    inside the gap between the two scans, a one-letter gap is filled as a
+    deduction, and scans that meet at different cosets are merged.  Merges
+    go through union-find, queueing the coincidences they induce; each
+    live coset's row is then filled, so the finished table is a genuine
+    action.
     """
-    ndirs = 4  # two generators, forward and inverse columns
-    rels = [_directions(w) for w in pres.relators]
+    rels = [_directions(w) for w in _simplify(pres).relators]
+    rels = [(w, tuple(d ^ 1 for d in w)) for w in rels]
 
+    # two generators, forward and inverse columns: row c is table[4c : 4c + 4]
     labels = [0]
-    rows = [[-1] * ndirs]
+    table = [-1] * 4
 
     def find(c):
         while labels[c] != c:
@@ -115,59 +170,83 @@ def todd_coxeter(pres: GroupPresentation, max_cosets: int = 10**6):
             c = labels[c]
         return c
 
-    def follow(c, d):
-        c = find(c)
-        nxt = rows[c][d]
-        if nxt < 0:
-            nxt = len(labels)
-            labels.append(nxt)
-            rows.append([-1] * ndirs)
-            rows[c][d] = nxt
-            rows[nxt][d ^ 1] = c
-        return find(nxt)
+    def define(c, d):
+        new = len(labels)
+        labels.append(new)
+        table.extend((-1, -1, -1, -1))
+        table[4 * c + d] = new
+        table[4 * new + (d ^ 1)] = c
 
     def unify(c1, c2):
-        stack = [(c1, c2)]
+        stack = [c1, c2]
         while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
+            b, a = stack.pop(), stack.pop()
+            if labels[a] != a:
+                a = find(a)
+            if labels[b] != b:
+                b = find(b)
             if a == b:
                 continue
             if a > b:
                 a, b = b, a
             labels[b] = a
-            for d in range(ndirs):
-                nb = rows[b][d]
+            for d in range(4):
+                nb = table[4 * b + d]
                 if nb < 0:
                     continue
-                na = rows[a][d]
+                na = table[4 * a + d]
                 if na < 0:
                     # stale labels inside rows are fine; find() resolves them
-                    rows[a][d] = nb
+                    table[4 * a + d] = nb
                 else:
-                    stack.append((na, nb))
+                    stack += (na, nb)
+
+    def scan_and_fill(c, word, inv):
+        """Close `word` at live coset c; False if that needs too many cosets."""
+        i, j = 0, len(word)
+        f = b = c
+        while True:
+            # forward from f as far as the table is defined
+            while i < j:
+                nxt = table[4 * f + word[i]]
+                if nxt < 0:
+                    break
+                f = nxt if labels[nxt] == nxt else find(nxt)
+                i += 1
+            # backward from b over the end of the word
+            while j > i:
+                nxt = table[4 * b + inv[j - 1]]
+                if nxt < 0:
+                    break
+                b = nxt if labels[nxt] == nxt else find(nxt)
+                j -= 1
+            if j == i:
+                if f != b:
+                    unify(f, b)
+                return True
+            if j == i + 1:
+                # one-letter gap: a deduction
+                table[4 * f + word[i]] = b
+                table[4 * b + inv[i]] = f
+                return True
+            if len(labels) >= max_cosets:
+                return False
+            define(f, word[i])
 
     cursor = 0
     while cursor < len(labels):
-        if len(labels) > max_cosets:
-            return None
-        if find(cursor) == cursor:
-            for rel in rels:
-                c = cursor
-                for d in rel:
-                    c = follow(c, d)
-                    if len(labels) > max_cosets:
-                        return None
-                unify(c, cursor)
-                if find(cursor) != cursor:
+        if labels[cursor] == cursor:
+            for word, inv in rels:
+                if not scan_and_fill(cursor, word, inv):
+                    return None
+                if labels[cursor] != cursor:
                     break
-            # fill the row so the finished table is a genuine action
-            c = find(cursor)
-            if c == cursor:
-                for d in range(ndirs):
-                    if rows[cursor][d] < 0:
-                        follow(cursor, d)
-                        if len(labels) > max_cosets:
+            else:
+                # fill the row so the finished table is a genuine action
+                for d in range(4):
+                    if table[4 * cursor + d] < 0:
+                        if len(labels) >= max_cosets:
                             return None
+                        define(cursor, d)
         cursor += 1
-    return sum(1 for i in range(len(labels)) if find(i) == i)
+    return sum(1 for i, c in enumerate(labels) if i == c)

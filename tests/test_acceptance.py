@@ -149,7 +149,8 @@ def test_criterion_07_euler_identity(table1_run, table2_run):
     # recompute the lambda values from scratch on all table rows
     for cert in certs:
         if cert.d == 2:
-            assert euler_check(cert.p, cert.q_square, cert.d, dd1(cert.poly))
+            assert euler_check(cert.p, cert.d, lambda_rustamov(cert.p, cert.q_square),
+                               lambda_rustamov(cert.p, 1), dd1(cert.poly))
     _announce(7, "Euler identity on all certificates")
 
 
@@ -190,7 +191,7 @@ def test_criterion_11_group_orders():
     assert todd_coxeter(BINARY_ICOSAHEDRAL) == 120
     assert time.monotonic() - t0 <= 10
 
-    for p, q, h in [(8, 1, 3), (22, 3, 5), (38, 7, 7)]:
+    for p, q, h in [(8, 1, 3), (22, 3, 5), (38, 7, 7), (2001, 721, 82)]:
         cert = certify(p, q, h)
         assert cert.d == 2
         pres = build_presentation(cert)

@@ -46,6 +46,17 @@ def test_is_square_examples(q, p, expected):
     assert is_square_mod(q, p) is expected
 
 
+def dedekind_oracle(q, p):
+    """s(q, p) by its defining O(p) sum, over the common denominator 4p^2."""
+    total = 0
+    for k in range(1, p):
+        kq = (k * q) % p
+        if kq == 0:
+            continue
+        total += (2 * k - p) * (2 * kq - p)
+    return Fraction(total, 4 * p * p)
+
+
 @pytest.mark.parametrize("q,p,expected", [
     (1, 2, Fraction(0)),
     (1, 3, Fraction(1, 18)),
@@ -53,18 +64,30 @@ def test_is_square_examples(q, p, expected):
 ])
 def test_dedekind_examples(q, p, expected):
     assert dedekind_sum(q, p) == expected
+    assert dedekind_oracle(q, p) == expected
 
 
 def test_dedekind_reciprocity():
-    # s(q,p) + s(p,q) = -1/4 + (p/q + q/p + 1/(pq)) / 12
+    # s(q,p) + s(p,q) = -1/4 + (p/q + q/p + 1/(pq)) / 12, checked on the
+    # defining sum: dedekind_sum is built on this law, so it cannot test it
     for p in range(1, 101):
         for q in range(1, 101):
             if gcd(p, q) != 1:
                 continue
-            lhs = dedekind_sum(q, p) + dedekind_sum(p, q)
+            lhs = dedekind_oracle(q, p) + dedekind_oracle(p, q)
             rhs = Fraction(-1, 4) + (Fraction(p, q) + Fraction(q, p)
                                      + Fraction(1, p * q)) / 12
             assert lhs == rhs, (p, q)
+
+
+def test_dedekind_sum_matches_defining_sum():
+    for p in range(1, 200):
+        for q in range(-p, 2 * p + 1):
+            if gcd(q, p) == 1:
+                assert dedekind_sum(q, p) == dedekind_oracle(q, p), (q, p)
+    for bad in [(2, 4), (0, 6), (3, 0), (1, -5)]:
+        with pytest.raises(ValueError):
+            dedekind_sum(*bad)
 
 
 def test_fraction_arithmetic_is_exact():

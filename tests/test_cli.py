@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +133,15 @@ def test_group(capsys):
     code, out, _ = run(capsys, "group", "8", "1", "3", "--max-cosets", "5")
     assert code == 1
     assert "overflow" in out
+
+
+def test_group_at_p_near_2000(capsys):
+    # the presentation lines are frozen from the output before the coset
+    # enumeration ran on a simplified copy; only the enumeration may change
+    golden = (Path(__file__).parent / "golden_certs" / "group_2001_721_82.txt").read_text()
+    code, out, _ = run(capsys, "group", "2001", "721", "82")
+    assert code == 0
+    assert out == golden + "group order: 120\n"
 
 
 def test_plotdata(tmp_path, capsys):

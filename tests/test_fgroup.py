@@ -4,6 +4,7 @@ from lenssurg.certify import certify, canonical_h
 from lenssurg.fgroup import (
     BINARY_ICOSAHEDRAL,
     GroupPresentation,
+    _simplify,
     abelianization_order,
     build_presentation,
     todd_coxeter,
@@ -91,3 +92,36 @@ def test_single_convention_across_all_small_data():
         assert abelianization_order(pres) == 1, cert.datum
         expected = 120 if cert.d == 2 else 1
         assert todd_coxeter(pres) == expected, cert.datum
+
+
+def _is_reduced(word):
+    free = all(x != -y for x, y in zip(word, word[1:]))
+    return free and (len(word) < 2 or word[0] != -word[-1])
+
+
+def test_simplify_keeps_abelianization_and_shortens():
+    from lenssurg.search import enumerate_search
+
+    certs = enumerate_search(2, 151).certificates
+    assert certs
+    for cert in certs:
+        pres = build_presentation(cert)
+        simple = _simplify(pres)
+        assert abelianization_order(simple) == abelianization_order(pres), cert.datum
+        assert len(simple.relators) == len(pres.relators)
+        for new, old in zip(simple.relators, pres.relators):
+            assert _is_reduced(new), cert.datum
+            assert len(new) <= len(old), cert.datum
+
+
+def test_simplify_examples():
+    # <a, b | ab, b> becomes <a, b | a, b> after one move
+    assert _simplify(GroupPresentation(((1, 2), (2,)))).relators == ((1,), (2,))
+    # reduction alone: a a^-1 b b^-1 is empty, a b a^-1 is conjugate to b
+    assert _simplify(GroupPresentation(((1, -1, 2, -2), (1, 2, -1)))).relators == ((), (2,))
+
+
+@pytest.mark.parametrize("p,q,h", [(1168, 201, 37), (1993, 408, 49), (2001, 721, 82)])
+def test_order_120_at_p_near_2000(p, q, h):
+    pres = build_presentation(certify(p, q, h))
+    assert todd_coxeter(pres) == 120
