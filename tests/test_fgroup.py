@@ -5,6 +5,7 @@ from lenssurg.fgroup import (
     BINARY_ICOSAHEDRAL,
     GroupPresentation,
     _simplify,
+    _substitute,
     abelianization_order,
     build_presentation,
     todd_coxeter,
@@ -121,7 +122,29 @@ def test_simplify_examples():
     assert _simplify(GroupPresentation(((1, -1, 2, -2), (1, 2, -1)))).relators == ((), (2,))
 
 
-@pytest.mark.parametrize("p,q,h", [(1168, 201, 37), (1993, 408, 49), (2001, 721, 82)])
+# the last eight overflow the default limit when the relators are shortened
+# by Nielsen moves alone (to about 200 letters or more)
+@pytest.mark.parametrize("p,q,h", [
+    (1168, 201, 37), (1993, 408, 49), (2001, 721, 82),
+    (1162, 253, 125), (1276, 265, 131), (1426, 783, 139), (1552, 849, 145),
+    (1717, 307, 152), (1855, 319, 158), (1857, 352, 47), (1985, 416, 49),
+])
 def test_order_120_at_p_near_2000(p, q, h):
     pres = build_presentation(certify(p, q, h))
+    # relators of about 2,000 letters come down to 5 and 7, the lengths of
+    # the standard presentation of the binary icosahedral group
+    assert sorted(map(len, _simplify(pres).relators)) == [5, 7]
     assert todd_coxeter(pres) == 120
+
+
+def test_substitute_examples():
+    # aab occurs in aaab, so aaab = a aab becomes a
+    assert _substitute(["aaab", "aab"]) == (4, ["a", "aab"])
+    # ab occurs in Bab, which becomes B
+    assert _substitute(["ab", "Bab"]) == (3, ["ab", "B"])
+    # aba is a cyclic conjugate of aab, so ab = a^-1 and abbb becomes Abb
+    assert _substitute(["abbb", "aab"]) == (6, ["Abb", "aab"])
+    # BA, the inverse of ab, occurs in BAA, which becomes A
+    assert _substitute(["BAA", "ab"]) == (3, ["A", "ab"])
+    # no piece longer than half of either relator occurs in the other
+    assert _substitute(["aabb", "abab"]) is None
