@@ -8,6 +8,13 @@ relation linking the d=0 and d=2 polynomials over the same lens space.
 Conventions: polynomials are normalized (Delta(1) = 1) and symmetrized
 (a_i = a_{-i}); m in the reduced-coefficient formula is (h*h' - 1)/p with
 h, h' the canonical representatives of h and h^{-1} in [1, p).
+
+The certification stages (coverage_depth, reduced_coeffs, unreduce,
+reduce_poly, torsion_from_poly, reduced_torsions) take and return int64
+numpy arrays: a reduced vector a~_0..a~_{p-1}, coefficients a_0..a_g and
+torsions t_0..t_{g-1}.  They are exact for p below arith.INT64_P_BOUND.
+SymmetricPoly and ReducedVector are the tuple-valued forms stored in a
+certificate.
 """
 
 from dataclasses import dataclass
@@ -15,7 +22,8 @@ from math import gcd
 
 import numpy as np
 
-from .arith import mod_inverse
+from .arith import check_int64_bound, mod_inverse
+from .dinv import spin_c_c
 
 __all__ = [
     "SymmetricPoly",
@@ -23,10 +31,14 @@ __all__ = [
     "UnreduceError",
     "phi",
     "coverage_depth",
+    "reduced_from_depth",
     "reduced_coeffs",
+    "is_symmetric",
+    "is_alternating",
     "os_form_check",
     "genus_from_reduced",
     "unreduce",
+    "reduce_poly",
     "torsion_from_poly",
     "reduced_torsions",
     "dd1",
@@ -102,13 +114,6 @@ class ReducedVector:
             raise ValueError("entry count must equal the modulus")
         object.__setattr__(self, "entries", tuple(map(int, self.entries)))
 
-    def is_symmetric(self) -> bool:
-        e = self.entries
-        return e[1:] == e[:0:-1]   # entry i against entry p - i
-
-    def total(self) -> int:
-        return sum(self.entries)
-
     def __getitem__(self, i: int) -> int:
         return self.entries[i % self.p]
 
@@ -136,8 +141,10 @@ def coverage_depth(p: int, q: int, h: int, hp: int) -> np.ndarray:
     Takes 0 <= q < p, h = [h]_p and hp = [h^{-1}]_p.  Each j in [1, hp]
     counts towards Phi^k exactly for k in the circular window
     [qj - h, qj - 1] mod p, so the windows are summed with a difference
-    array in integer numpy ops, exact while p^2 < 2^63.
+    array in integer numpy ops, exact while p^2 < 2^63 (checked against
+    arith.INT64_P_BOUND).
     """
+    check_int64_bound(p)
     starts = (q * np.arange(1, hp + 1, dtype=np.int64)) % p
     lo = (starts - h) % p
     diff = np.bincount(lo, minlength=p) - np.bincount(starts, minlength=p)
@@ -146,21 +153,44 @@ def coverage_depth(p: int, q: int, h: int, hp: int) -> np.ndarray:
     return depth
 
 
-def reduced_coeffs(p: int, q: int, h: int) -> ReducedVector:
+def reduced_from_depth(depth: np.ndarray, h: int, hp: int, count: int) -> np.ndarray:
+    """a~_i = -m + Phi^{hi+c}(h) for i in [0, count), read off coverage_depth.
+
+    h and hp = [h^{-1}]_p are the ones the depth was built with, p is its
+    length, and m = (h*hp - 1)/p, c = dinv.spin_c_c(h, p).
+    """
+    p = len(depth)
+    k = (h * np.arange(count, dtype=np.int64) + spin_c_c(h, p)) % p
+    return depth[k] - (h * hp - 1) // p
+
+
+def reduced_coeffs(p: int, q: int, h: int) -> np.ndarray:
     """Reduced Alexander coefficients a~_i = -m + Phi^{hi+c}_{p,q}(h) for i in Z/p.
 
-    Computed for all residues at once by indexing coverage_depth.  Always
-    sums to 1.
+    An int64 array of length p, computed for all residues at once by
+    indexing coverage_depth.  Always sums to 1.
     """
     h = h % p
     hp = mod_inverse(h, p)
     if gcd(q, p) != 1:
         raise ValueError(f"gcd({q}, {p}) != 1")
-    m = (h * hp - 1) // p
-    c = ((h + 1 + p) * (h - 1) // 2) % p
-    depth = coverage_depth(p, q % p, h, hp)
-    k = (h * np.arange(p, dtype=np.int64) + c) % p
-    return ReducedVector(p, tuple((depth[k] - m).tolist()))
+    return reduced_from_depth(coverage_depth(p, q % p, h, hp), h, hp, p)
+
+
+def is_symmetric(e) -> bool:
+    """Entry i equals entry p - i for every i in Z/p."""
+    e = np.asarray(e)
+    return bool(np.array_equal(e[1:], e[:0:-1]))
+
+
+def is_alternating(coeffs) -> bool:
+    """The nonzero coefficients, read from the top index down to index 0, are
+    exactly +1, -1, +1, ..., and the one at index 0 is among them."""
+    a = np.asarray(coeffs)
+    if a.size == 0 or a[0] == 0:
+        return False
+    nonzero = a[a != 0][::-1]
+    return bool(np.array_equal(nonzero, 1 - 2 * (np.arange(nonzero.size) & 1)))
 
 
 def os_form_check(poly: SymmetricPoly):
@@ -170,27 +200,21 @@ def os_form_check(poly: SymmetricPoly):
     top degree down to the constant term, are exactly +1, -1, +1, ... with the
     constant term included; returns None otherwise.
     """
-    coeffs = poly.coeffs
-    support = [i for i in range(len(coeffs) - 1, -1, -1) if coeffs[i] != 0]
-    if not support or support[-1] != 0:
+    if not is_alternating(poly.coeffs):
         return None
-    want = 1
-    for i in support:
-        if coeffs[i] != want:
-            return None
-        want = -want
-    ns = tuple(sorted(i for i in support if i > 0))
+    ns = tuple(i for i, a in enumerate(poly.coeffs[1:], 1) if a)
     return len(ns), ns
 
 
-def genus_from_reduced(v: ReducedVector) -> int:
+def genus_from_reduced(e) -> int:
     """Largest index in {0, ..., floor(p/2)} carrying a nonzero entry."""
-    e = v.entries
-    return max(i for i in range(v.p // 2 + 1) if e[i] != 0)
+    e = np.asarray(e)
+    return int(np.flatnonzero(e[:len(e) // 2 + 1])[-1])
 
 
-def unreduce(v: ReducedVector, g: int) -> SymmetricPoly:
-    """Recover the degree-g symmetric polynomial whose mod-p reduction is v.
+def unreduce(e, g: int) -> np.ndarray:
+    """Coefficients a_0..a_g of the degree-g symmetric polynomial whose mod-p
+    reduction is the vector e (p = len(e)), as an int64 array.
 
     Index collisions are resolved by the alternating normal form:
       2g < p   -- classes are disjoint, plain readback;
@@ -198,74 +222,60 @@ def unreduce(v: ReducedVector, g: int) -> SymmetricPoly:
       2g = p+1 -- class of g collides with -(g-1); top coefficient is +1.
     Raises UnreduceError when no valid polynomial exists.
     """
-    p = v.p
+    e = np.asarray(e, dtype=np.int64)
+    p = len(e)
     if 2 * g > p + 1:
         raise UnreduceError(f"genus {g} too large for modulus {p}")
-    if not v.is_symmetric():
+    if not is_symmetric(e):
         raise UnreduceError("reduced vector is not symmetric")
-    e = v.entries
+    coeffs = e[:g + 1].copy()
     if 2 * g == p + 1:
-        coeffs = list(e[:g - 1])
-        coeffs.append(e[g - 1] - 1)  # class of g-1 also carries a_{-g} = 1
-        coeffs.append(1)
+        coeffs[g - 1] -= 1  # class of g-1 also carries a_{-g} = 1
+        coeffs[g] = 1
     elif 2 * g == p:
-        if e[g] % 2 != 0:
+        if coeffs[g] % 2 != 0:
             raise UnreduceError("middle class entry must be even when 2g = p")
-        coeffs = list(e[:g])
-        coeffs.append(e[g] // 2)
-    else:
-        coeffs = list(e[:g + 1])
+        coeffs[g] //= 2
     if coeffs[-1] == 0:
         raise UnreduceError("reconstructed top coefficient vanishes")
-    poly = SymmetricPoly(tuple(coeffs))
-    if poly.eval_at_one() != 1:
+    if coeffs[0] + 2 * coeffs[1:].sum() != 1:
         raise UnreduceError("reconstructed polynomial does not evaluate to 1 at t=1")
-    if reduce_poly(poly, p) != v:
+    if not np.array_equal(reduce_poly(coeffs, p), e):
         raise UnreduceError("reconstruction does not reduce back to the input")
-    if os_form_check(poly) is None:
+    if not is_alternating(coeffs):
         raise UnreduceError("reconstructed polynomial is not in alternating form")
-    return poly
+    return coeffs
 
 
-def reduce_poly(poly: SymmetricPoly, p: int) -> ReducedVector:
-    """Sum coefficients over residue classes mod p (inverse of unreduce)."""
-    entries = [0] * p
-    entries[0] = poly.coeffs[0]
-    for i, a in enumerate(poly.coeffs[1:], 1):
-        entries[i % p] += a
-        entries[-i % p] += a
-    return ReducedVector(p, tuple(entries))
+def reduce_poly(coeffs, p: int) -> np.ndarray:
+    """Sum a symmetric sequence x_0, x_{+-1}, x_{+-2}, ... over residue classes
+    mod p (inverse of unreduce): entry k is the sum of x_|j| over j = k mod p."""
+    x = np.asarray(coeffs, dtype=np.int64)
+    j = np.arange(1 - len(x), len(x), dtype=np.int64)
+    out = np.zeros(p, dtype=np.int64)
+    np.add.at(out, j % p, x[np.abs(j)])
+    return out
 
 
-def torsion_from_poly(poly: SymmetricPoly) -> tuple:
-    """Turaev torsions t_i = sum_{j>=1} j * a_{i+j} for i = 0..degree-1.
+def torsion_from_poly(coeffs) -> np.ndarray:
+    """Turaev torsions t_i = sum_{j>i} (j - i) * a_j for i = 0..g-1, as an
+    int64 array, from the coefficients a_0..a_g.
 
-    t_i vanishes for i >= degree; the full two-sided sequence is t_{-i} = t_i.
-    Computed with suffix sums in O(degree).
+    t_i vanishes for i >= g; the full two-sided sequence is t_{-i} = t_i.
+    Computed with suffix sums in O(g).
     """
-    g = poly.degree()
-    if poly.eval_at_one() != 1:
+    a = np.asarray(coeffs, dtype=np.int64)
+    if a[0] + 2 * a[1:].sum() != 1:
         raise ValueError("polynomial is not normalized: Delta(1) != 1")
-    coeffs = poly.coeffs
-    ts = []
-    s1 = 0  # sum of a_j for j > i
-    s2 = 0  # sum of j*a_j for j > i
-    for i in range(g - 1, -1, -1):
-        a = coeffs[i + 1]
-        s1 += a
-        s2 += (i + 1) * a
-        ts.append(s2 - i * s1)
-    ts.reverse()
-    return tuple(ts)
+    j = np.arange(len(a), dtype=np.int64)
+    s1 = np.cumsum(a[:0:-1])[::-1]          # s1[i] = sum of a_j for j > i
+    s2 = np.cumsum((j * a)[:0:-1])[::-1]    # s2[i] = sum of j*a_j for j > i
+    return s2 - j[:-1] * s1
 
 
-def reduced_torsions(torsions: tuple, p: int) -> tuple:
+def reduced_torsions(torsions, p: int) -> np.ndarray:
     """Class sums t~_i = sum_{j = i mod p} t_j over the two-sided sequence."""
-    out = [0] * p
-    n = len(torsions)
-    for j in range(-n + 1, n):
-        out[j % p] += torsions[abs(j)]
-    return tuple(out)
+    return reduce_poly(torsions, p)
 
 
 def dd1(poly: SymmetricPoly) -> int:

@@ -2,13 +2,18 @@
 
 Everything downstream (correction terms, Casson-Walker values, the
 certification pipeline) assumes these helpers never round: residues are
-canonical ints in [0, p) and rationals are `fractions.Fraction`.
+canonical ints in [0, p) and rationals are `fractions.Fraction`.  The
+numpy stages hold integers in int64 and are exact only for slopes below
+INT64_P_BOUND; check_int64_bound raises Int64BoundError above it.
 """
 
 from fractions import Fraction
 from math import gcd
 
 __all__ = [
+    "INT64_P_BOUND",
+    "Int64BoundError",
+    "check_int64_bound",
     "reduce_mod",
     "mod_inverse",
     "is_square_mod",
@@ -16,6 +21,23 @@ __all__ = [
     "Fraction",
     "gcd",
 ]
+
+# The numpy stages are exact in int64 for p < 2**19 = INT64_P_BOUND: the
+# scaled correction terms satisfy |N| <= p^2 < 2**38, the d_vector recursion
+# adds p * |N_lower| < p^3 < 2**57, and the surgery formula compares
+# 8p * t~ <= 2p^3 < 2**58 (the torsions of an alternating polynomial of
+# genus g <= (p+1)/2 have |t~| <= p^2/4); every intermediate stays below
+# 2**63.
+INT64_P_BOUND = 2**19
+
+
+class Int64BoundError(ValueError):
+    """A slope too large for the int64 stages to stay exact."""
+
+
+def check_int64_bound(p: int) -> None:
+    if p >= INT64_P_BOUND:
+        raise Int64BoundError(f"p = {p} is not below the int64 exactness bound 2**19")
 
 
 def reduce_mod(gamma: int, p: int) -> int:

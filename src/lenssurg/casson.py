@@ -21,7 +21,7 @@ def lambda_rustamov(p: int, q: int) -> Fraction:
     """lambda(L(p,q)) = -(sum over Spin^c of d) / (2p) = -(sum of N) / (8p^2)."""
     if not 0 < q < p or gcd(p, q) != 1:
         raise ValueError(f"bad lens parameters ({p}, {q})")
-    return Fraction(-sum(d_vector(p, q)), 8 * p * p)
+    return Fraction(-int(d_vector(p, q).sum()), 8 * p * p)
 
 
 def lambda_dedekind(p: int, q: int) -> Fraction:

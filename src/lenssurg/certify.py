@@ -18,11 +18,19 @@ scaled by 4p, in integers: with N = 4p * d(L(p,q*), .) from dinv.d_vector,
 4p * d(L(p,1), i) = (2i - p)^2 - p and D = 4p * d,
 
     D - N[Q(i)] + (2i - p)^2 - p == 8p * t~_i    for every i in Z/p.
+
+The stages run on the int64 arrays of the alex module (reduced vector,
+coefficients, torsions and their class sums) and check the formula at all i
+in one vectorised comparison; the bound arith.INT64_P_BOUND keeps them exact.
+The tuple-valued ReducedVector and SymmetricPoly are built only for a
+certificate, never for a rejection.
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from .alex import (
     ReducedVector,
@@ -30,6 +38,7 @@ from .alex import (
     UnreduceError,
     dd1,
     genus_from_reduced,
+    is_symmetric,
     os_form_check,  # not called here; perfbench/spans.py wraps this binding
     reduced_coeffs,
     reduced_torsions,
@@ -152,32 +161,40 @@ def derive_d(p: int, q: int, h: int) -> Fraction:
         raise ValueError(f"({p}, {q}, {h}) is not pairwise admissible")
     if not _compatible(p, q, h):
         raise ValueError(f"q = {q} is not the square class of h = {h} mod {p}")
-    qs = square_rep(p, h)
-    v = reduced_coeffs(p, qs, h)
-    g = genus_from_reduced(v)
-    poly = unreduce(v, g)
-    tred = reduced_torsions(torsion_from_poly(poly), p)
-    return Fraction(_scaled_d(p, d_vector(p, qs), spin_c_c(h, p), tred), 4 * p)
+    _, _, coeffs = _reconstruct(p, h)
+    return Fraction(_scaled_d(p, h, reduced_torsions(torsion_from_poly(coeffs), p)), 4 * p)
 
 
-def _scaled_d(p: int, n: tuple, c: int, tred: tuple) -> int:
-    """4p * d forced by the surgery formula at i = 0, where Q(0) = c."""
-    return 8 * p * tred[0] + n[c] - (p * p - p)
+def _reconstruct(p: int, h: int, g=None):
+    """Stages reduce and unreduce: (reduced vector, genus, coefficients a_0..a_g).
+
+    The genus is read off the reduced vector when g is None.  Raises
+    UnreduceError when the vector admits no alternating polynomial.
+    """
+    e = reduced_coeffs(p, square_rep(p, h), h)
+    if abs(int(e[0])) != 1 or not is_symmetric(e):
+        raise UnreduceError("reduced coefficients cannot reduce an alternating polynomial")
+    if g is None:
+        g = genus_from_reduced(e)
+    return e, g, unreduce(e, g)
 
 
-def _formula_failure(p: int, h: int, c: int, n: tuple, tred: tuple, scaled_d: int):
+def _scaled_d(p: int, h: int, tred: np.ndarray) -> int:
+    """4p * d forced by the surgery formula at i = 0, where Q(0) = spin_c_c(h, p)."""
+    n = d_vector(p, square_rep(p, h))
+    return 8 * p * int(tred[0]) + int(n[spin_c_c(h, p)]) - (p * p - p)
+
+
+def _formula_failure(p: int, h: int, tred: np.ndarray, scaled_d: int):
     """First i in Z/p where the surgery formula scaled by 4p fails, else None.
 
-    n holds the scaled terms of L(p, [h^2]_p) and Q(i) = [h*i + c]_p.
+    The scaled terms N are those of L(p, [h^2]_p), read at Q(i) = [h*i + c]_p.
     """
-    j = c
-    for i in range(p):
-        if scaled_d - n[j] + (2 * i - p) ** 2 - p != 8 * p * tred[i]:
-            return i
-        j += h
-        if j >= p:
-            j -= p
-    return None
+    n = d_vector(p, square_rep(p, h))
+    i = np.arange(p, dtype=np.int64)
+    lhs = scaled_d - n[(h * i + spin_c_c(h, p)) % p] + (2 * i - p) ** 2 - p
+    bad = np.flatnonzero(lhs != 8 * p * tred)
+    return int(bad[0]) if bad.size else None
 
 
 def bounds_check(g: int, d: int, p: int) -> bool:
@@ -226,26 +243,18 @@ def _certify_class(p, h, require_even_d=True, g=None):
     q_canon = canonical_q(p, qs)
     h_canon = canonical_h(p, h)
 
-    v = reduced_coeffs(p, qs, h)
-    if v[0] not in (-1, 1) or not v.is_symmetric():
-        return Rejection(p, q_canon, h_canon, "os-form",
-                         "reduced coefficients cannot reduce an alternating polynomial")
-    if g is None:
-        g = genus_from_reduced(v)
     try:
-        poly = unreduce(v, g)   # checks the alternating form itself
+        e, g, coeffs = _reconstruct(p, h, g)   # unreduce checks the alternating form
     except UnreduceError as err:
         return Rejection(p, q_canon, h_canon, "os-form", str(err))
 
-    torsions = torsion_from_poly(poly)
-    if any(t < 0 for t in torsions):
+    torsions = torsion_from_poly(coeffs)
+    if (torsions < 0).any():
         return Rejection(p, q_canon, h_canon, "negative-torsion",
-                         f"t = {torsions}")
+                         f"t = {tuple(torsions.tolist())}")
 
     tred = reduced_torsions(torsions, p)
-    n = d_vector(p, qs)
-    c = spin_c_c(h, p)
-    scaled_d = _scaled_d(p, n, c, tred)
+    scaled_d = _scaled_d(p, h, tred)
     d, rem = divmod(scaled_d, 4 * p)
     if rem:
         d_frac = Fraction(scaled_d, 4 * p)
@@ -255,7 +264,7 @@ def _certify_class(p, h, require_even_d=True, g=None):
         return Rejection(p, q_canon, h_canon, "odd-d",
                          f"derived d = {d}", derived_d=d)
 
-    i = _formula_failure(p, h, c, n, tred, scaled_d)
+    i = _formula_failure(p, h, tred, scaled_d)
     if i is not None:
         return Rejection(p, q_canon, h_canon, "correction-mismatch",
                          f"surgery formula fails at i = {i}", derived_d=d)
@@ -268,6 +277,7 @@ def _certify_class(p, h, require_even_d=True, g=None):
             return Rejection(p, q_canon, h_canon, "bound-violation",
                              f"(g, d, p) = ({g}, {d}, {p})", derived_d=d)
 
+    poly = SymmetricPoly(coeffs.tolist())
     lambda_pq, lambda_p1 = lambda_rustamov(p, qs), lambda_rustamov(p, 1)
     if not euler_check(p, d, lambda_pq, lambda_p1, dd1(poly)):
         # implied by the per-i surgery formula; kept as an independent guard
@@ -288,9 +298,9 @@ def _certify_class(p, h, require_even_d=True, g=None):
     return Certificate(
         datum=datum,
         q_square=qs,
-        reduced=v,
+        reduced=ReducedVector(p, e.tolist()),
         poly=poly,
-        torsions=torsions,
+        torsions=tuple(torsions.tolist()),
         lambda_pq=lambda_pq,
         lambda_p1=lambda_p1,
         checks=checks,

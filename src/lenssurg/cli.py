@@ -4,8 +4,9 @@ Subcommands cover every pipeline: correction terms, reduced coefficients,
 Casson-Walker values, certification, the slope search, parametric families,
 golden-table verification, fundamental groups, plot data, and the lambda
 threshold sweep.  Exit status: 0 success/verified, 1 mismatch/rejection,
-2 usage error.  User input is validated up front; any other exception is an
-internal fault and surfaces with its traceback (exit 1).
+2 usage error.  User input is validated up front, including slopes against
+the int64 exactness bound p < 2**19; any other exception is an internal
+fault and surfaces with its traceback (exit 1).
 """
 
 import argparse
@@ -16,6 +17,7 @@ from math import gcd
 
 from . import casson, search, tables
 from .alex import reduced_coeffs
+from .arith import INT64_P_BOUND
 from .certify import Certificate, certificate_to_json, certify
 from .dinv import d_lens
 from .fgroup import abelianization_order, build_presentation, todd_coxeter
@@ -33,14 +35,22 @@ def _positive(value, name):
     return value
 
 
+def _slope(value, name="p"):
+    """A positive slope below the int64 exactness bound."""
+    _positive(value, name)
+    if value >= INT64_P_BOUND:
+        raise UsageError(f"{name} must be below 2**19 = {INT64_P_BOUND}, got {value}")
+    return value
+
+
 def _coprime(a, b, what):
     if gcd(a, b) != 1:
         raise UsageError(f"{what}: gcd({a}, {b}) != 1")
 
 
 def _surgery_datum(args):
-    """Validate p >= 2 and p coprime to q and h; returns p."""
-    p = _positive(args.p, "p")
+    """Validate 2 <= p < 2**19 and p coprime to q and h; returns p."""
+    p = _slope(args.p)
     if p < 2:
         raise UsageError("p must be at least 2")
     _coprime(p, args.q, "lens parameter q")
@@ -51,6 +61,7 @@ def _surgery_datum(args):
 def _slope_range(pmin, pmax):
     if not 2 <= pmin <= pmax:
         raise UsageError(f"need 2 <= pmin <= pmax, got [{pmin}, {pmax}]")
+    _slope(pmax, "pmax")
 
 
 def _write_out(text, path):
@@ -62,7 +73,7 @@ def _write_out(text, path):
 
 
 def cmd_dinv(args):
-    p = _positive(args.p, "p")
+    p = _slope(args.p)
     if p == 1:
         print("0 0")
         return 0
@@ -83,7 +94,7 @@ def cmd_dinv(args):
 def cmd_alex(args):
     p = _surgery_datum(args)
     v = reduced_coeffs(p, args.q, args.h)
-    print("reduced:", " ".join(str(x) for x in v.entries))
+    print("reduced:", " ".join(str(x) for x in v.tolist()))
     result = certify(p, args.q, args.h, require_even_d=not args.allow_odd_d)
     if isinstance(result, Certificate):
         print("genus:", result.g)
@@ -95,7 +106,7 @@ def cmd_alex(args):
 
 
 def cmd_lambda(args):
-    p = _positive(args.p, "p")
+    p = _slope(args.p)
     if p == 1:
         print("lambda(L(1,1)) = 0")
         return 0
@@ -211,6 +222,7 @@ def cmd_plotdata(args):
 def cmd_ras(args):
     if args.pmax < 4:
         raise UsageError(f"--pmax must be at least 4, got {args.pmax}")
+    _slope(args.pmax, "pmax")
     violations = casson.ras_verify(args.pmax)
     if violations:
         for p, q in violations:

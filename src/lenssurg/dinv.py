@@ -12,14 +12,21 @@ General (p,q) values come from the Euclidean recursion of Ozsvath-Szabo
     N(p, q, i) = ((2i + 1 - p - q)^2 - pq - p * N(q, p mod q, i mod q)) / q
 
 with base case N(1, 0, 0) = 0, indices always reduced into [0, modulus).
-The division is exact; a remainder raises ArithmeticError.  d_lens and
-d_lens_p1 give the Fraction values N / (4p).  The labeling convention is
-pinned by the certification anchors; see the certify module tests.
+d_vector evaluates one level as int64 numpy operations with a single
+np.divmod; the division is exact, and a remainder raises ArithmeticError.
+int64 is exact for p below arith.INT64_P_BOUND, and d_vector raises
+Int64BoundError above it.  d_lens and d_lens_p1 give the Fraction values
+N / (4p).  The labeling convention is pinned by the certification anchors;
+see the certify module tests.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
+
+from .arith import check_int64_bound
 
 __all__ = ["d_lens_p1", "d_lens", "d_vector", "spin_c_c", "spin_c_Q"]
 
@@ -32,22 +39,25 @@ def d_lens_p1(p: int, i: int) -> Fraction:
 
 
 @lru_cache(maxsize=256)
-def d_vector(p: int, q: int) -> tuple:
+def d_vector(p: int, q: int) -> np.ndarray:
     """All p scaled correction terms N_i = 4p * d(L(p,q), i), indexed by i in Z/p.
 
-    Built level by level along the Euclidean descent, so the cost is
-    O(p + q + ...) integer operations and the cache stays small.
+    A read-only int64 array, built level by level along the Euclidean
+    descent, so the cost is O(p + q + ...) array operations and the cache
+    stays small.
     """
+    check_int64_bound(p)
     if p == 1 and q == 0:
-        return (0,)
-    if not 0 < q < p or gcd(p, q) != 1:
-        raise ValueError(f"bad lens parameters ({p}, {q})")
-    lower = d_vector(q, p % q)
-    nums = [(2 * i + 1 - p - q) ** 2 - p * q - p * lower[i % q] for i in range(p)]
-    out = tuple(n // q for n in nums)
-    # floor division leaves remainders in [0, q): they all vanish iff their sum does
-    if sum(nums) != q * sum(out):
-        raise ArithmeticError(f"correction terms of L({p},{q}) are not in (1/4p)Z")
+        out = np.zeros(1, dtype=np.int64)
+    else:
+        if not 0 < q < p or gcd(p, q) != 1:
+            raise ValueError(f"bad lens parameters ({p}, {q})")
+        lower = np.resize(np.asarray(d_vector(q, p % q), dtype=np.int64), p)  # N_lower[i mod q]
+        s = 2 * np.arange(p, dtype=np.int64) + (1 - p - q)
+        out, rem = np.divmod(s * s - p * q - p * lower, q)
+        if rem.any():
+            raise ArithmeticError(f"correction terms of L({p},{q}) are not in (1/4p)Z")
+    out.flags.writeable = False
     return out
 
 
@@ -60,7 +70,7 @@ def d_lens(p: int, q: int, i: int) -> Fraction:
         raise ValueError(f"need 0 < q < p, got ({p}, {q})")
     if not 0 <= i < p:
         raise ValueError(f"index {i} out of range for modulus {p}")
-    return Fraction(d_vector(p, q)[i], 4 * p)
+    return Fraction(int(d_vector(p, q)[i]), 4 * p)
 
 
 def spin_c_c(h: int, p: int) -> int:

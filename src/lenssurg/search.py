@@ -8,7 +8,9 @@ not the square class of h is rejected by the quadratic-residue stage).
 
 A candidate first passes a screen on alex.coverage_depth: the reduced
 coefficients -m + Phi^k can only support an alternating polynomial if
-every value lies in [-1, 2].  Survivors go through the full exact
+every value lies in [-1, 2], the constant entry is +-1 and, when the genus
+g read off the vector has 2g < p (no index collisions), the entries
+a~_g .. a~_0 already alternate.  Survivors go through the full exact
 certification pipeline.  The screen is validated against the plain
 pipeline on small slopes in the test suite.
 """
@@ -18,7 +20,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from .alex import coverage_depth
+import numpy as np
+
+from .alex import coverage_depth, is_alternating, reduced_from_depth
 from .arith import mod_inverse
 from .certify import Certificate, Rejection, _certify_class, canonical_h, canonical_q
 
@@ -80,8 +84,11 @@ def _class_reps(p):
 
 
 def _screen(p, h, hp):
-    """Necessary condition: all reduced coefficients lie in [-1, 2].
+    """Necessary condition for the os-form stage of the pipeline.
 
+    All reduced coefficients lie in [-1, 2], a~_0 = +-1, and when 2g < p the
+    nonzero a~_g .. a~_0 read +1, -1, +1, ... (unreduce reads them back as
+    the polynomial); collision genera 2g = p are left to the pipeline.
     Works with the orbit member whose inverse is smallest (the reduced
     coefficient vector is an orbit invariant, and q = [h^2]_p moves with
     the member), so coverage_depth sums the fewest windows.
@@ -89,10 +96,15 @@ def _screen(p, h, hp):
     # swap to the representative with the cheaper window count
     if hp > h:
         h, hp = hp, h
-    q = (h * h) % p
     m = (h * hp - 1) // p
-    depth = coverage_depth(p, q, h, hp)
-    return m - 1 <= int(depth.min()) and int(depth.max()) <= m + 2
+    depth = coverage_depth(p, (h * h) % p, h, hp)
+    if not (m - 1 <= depth.min() and depth.max() <= m + 2):
+        return False
+    e = reduced_from_depth(depth, h, hp, p // 2 + 1)   # a~_0 .. a~_{p/2}
+    if abs(int(e[0])) != 1:
+        return False
+    g = int(np.flatnonzero(e)[-1])
+    return 2 * g >= p or is_alternating(e)
 
 
 def _search_one_p(p, mode):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 from fractions import Fraction
@@ -6,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from lenssurg.alex import dd1, delta_lift, os_form_check, reduce_poly
+from lenssurg.alex import (
+    dd1,
+    delta_lift,
+    genus_from_reduced,
+    os_form_check,
+    reduce_poly,
+    reduced_coeffs,
+    torsion_from_poly,
+    unreduce,
+)
 from lenssurg.arith import is_square_mod
 from lenssurg.certify import (
     Certificate,
@@ -22,7 +32,8 @@ from lenssurg.certify import (
     lift_to_d2,
 )
 from lenssurg.cli import main
-from lenssurg.search import enumerate_search, h_class_set
+from lenssurg.dinv import d_lens, d_lens_p1, d_vector, spin_c_c
+from lenssurg.search import _class_reps, enumerate_search, h_class_set
 from golden import (
     DELTA_K2,
     DELTA_K3_D2,
@@ -127,7 +138,7 @@ def test_certificate_invariants():
         squares = {h0 * h0 % p for h0 in h_class_set(p, cert.datum.h)}
         assert any(canonical_q(p, s) == cert.datum.q for s in squares)
         assert cert.q_square == cert.datum.h ** 2 % p
-        assert reduce_poly(cert.poly, p) == cert.reduced
+        assert tuple(reduce_poly(cert.poly.coeffs, p).tolist()) == cert.reduced.entries
 
 
 def test_incompatible_pairs_never_certify(monkeypatch):
@@ -149,6 +160,37 @@ def test_incompatible_pairs_never_certify(monkeypatch):
                 monkeypatch.setattr(mod, "square_rep", lambda p, h, q=q: q)
                 result = _certify_class(p, h, require_even_d=False)
                 assert isinstance(result, Rejection), (p, q, h)
+
+
+def test_correction_mismatch_names_the_first_failing_i(monkeypatch):
+    # incompatible square classes reach the all-i stage; the reported i is
+    # the first where d = 2 t~_i + d(L(p,q), Q(i)) - d(L(p,1), i) fails,
+    # recomputed here in Fractions with the torsions folded by hand
+    mod = importlib.import_module("lenssurg.certify")
+    seen = 0
+    for p in range(2, 31):
+        for h in range(1, p):
+            if gcd(h, p) != 1:
+                continue
+            for q in range(1, p):
+                if gcd(q, p) != 1 or q in (h * h % p, pow(h * h % p, -1, p)):
+                    continue
+                monkeypatch.setattr(mod, "square_rep", lambda p, h, q=q: q)
+                r = _certify_class(p, h, require_even_d=False)
+                if r.stage != "correction-mismatch" or r.detail == "Euler identity fails":
+                    continue
+                e = reduced_coeffs(p, q, h)
+                ts = torsion_from_poly(unreduce(e, genus_from_reduced(e))).tolist()
+                tred = [0] * p
+                for j in range(1 - len(ts), len(ts)):
+                    tred[j % p] += ts[abs(j)]
+                c = spin_c_c(h, p)
+                fails = [i for i in range(p)
+                         if r.derived_d != 2 * tred[i] + d_lens(p, q, (h * i + c) % p)
+                         - d_lens_p1(p, i)]
+                assert fails and r.detail == f"surgery formula fails at i = {fails[0]}"
+                seen += 1
+    assert seen >= 10
 
 
 def test_bounds_check():
@@ -235,3 +277,42 @@ def test_lift_to_d2_json_golden():
     lift = lift_to_d2(certify(1993, 312, 312))
     text = json.dumps(certificate_to_json(lift), sort_keys=True) + "\n"
     assert text == (GOLDEN_CERTS / "lift_1993_312_312.json").read_text()
+
+
+def _plain(x):
+    """Python ints, bools and strs, Fractions of ints, and tuples or dataclasses of them."""
+    if dataclasses.is_dataclass(x):
+        return all(_plain(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return all(_plain(y) for y in x)
+    if type(x) is Fraction:
+        return type(x.numerator) is int and type(x.denominator) is int
+    return type(x) in (int, bool, str, type(None))
+
+
+def test_no_numpy_scalars_leak(monkeypatch):
+    rep = enumerate_search(2, 150, "exhaustive")
+    lifts = [lift_to_d2(c) for c in rep.certificates if c.p % 2]
+    # the search meets no bound violation (d stays in {0, 2}); shifting every
+    # lens-space term N by 4p*k shifts the derived d by k and leaves the
+    # formula at all i intact, so the data of genus >= 1 reach that stage
+    mod = importlib.import_module("lenssurg.certify")
+    bound_violations = []
+    for k in (-40, 40):
+        monkeypatch.setattr(mod, "d_vector", lambda p, q, k=k: d_vector(p, q) + 4 * p * k)
+        for cert in rep.certificates:
+            if cert.g >= 1:
+                bound_violations.append(_certify_class(cert.p, cert.datum.h,
+                                                       require_even_d=False))
+    assert rep.certificates and lifts and bound_violations
+    assert {r.stage for r in bound_violations} == {"bound-violation"}
+    assert {r.detail.startswith("g + 2d") for r in bound_violations} == {True, False}
+    for obj in rep.certificates + lifts + bound_violations:
+        assert _plain(obj), obj
+    for cert in rep.certificates + lifts:
+        assert type(cert.d) is int and type(cert.g) is int
+        json.dumps(certificate_to_json(cert))   # no default= needed
+    for r in bound_violations:
+        assert type(r.derived_d) is int
+    counts = list(rep.rejections.values()) + list(rep.d_histogram.items())
+    assert _plain(tuple(counts)) and type(rep.trivial_pairs) is int

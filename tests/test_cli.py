@@ -52,6 +52,20 @@ def test_certify_json_roundtrip(capsys):
     assert certificate_from_json(doc) == certify(22, 3, 5)
 
 
+@pytest.mark.parametrize("argv", [
+    ("dinv", "P", "3"),
+    ("lambda", "P", "3"),
+    ("alex", "P", "1", "1"),
+    ("certify", "P", "1", "1"),
+    ("group", "P", "1", "1"),
+    ("search", "--pmax", "P"),
+])
+def test_slope_beyond_int64_bound_is_usage_error(argv, capsys):
+    code, out, err = run(capsys, *(str(2**19) if a == "P" else a for a in argv))
+    assert code == 2 and out == ""
+    assert "2**19" in err
+
+
 def test_dinv(capsys):
     code, out, _ = run(capsys, "dinv", "5", "2", "0")
     assert code == 0

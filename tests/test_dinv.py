@@ -2,9 +2,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
 import pytest
 
 from lenssurg import dinv
+from lenssurg.alex import coverage_depth
+from lenssurg.arith import INT64_P_BOUND, Int64BoundError
+from lenssurg.casson import lambda_dedekind, lambda_rustamov
 from lenssurg.dinv import d_lens, d_lens_p1, d_vector, spin_c_Q
 
 
@@ -27,8 +31,8 @@ def test_scaled_terms_match_fraction_recursion():
             if gcd(p, q) != 1:
                 continue
             n = d_vector(p, q)
-            assert all(type(x) is int for x in n), (p, q)
-            assert tuple(Fraction(x, 4 * p) for x in n) == fraction_d_vector(p, q), (p, q)
+            assert n.dtype == np.int64 and not n.flags.writeable, (p, q)
+            assert tuple(Fraction(x, 4 * p) for x in n.tolist()) == fraction_d_vector(p, q), (p, q)
 
 
 def test_inexact_division_raises(monkeypatch):
@@ -37,6 +41,24 @@ def test_inexact_division_raises(monkeypatch):
     monkeypatch.setattr(dinv, "d_vector", lambda p, q: (1,) * p)
     with pytest.raises(ArithmeticError):
         raw(5, 2)
+
+
+def test_int64_bound_edge():
+    assert INT64_P_BOUND == 2**19
+    p = INT64_P_BOUND - 1   # the Mersenne prime 2**19 - 1
+    i = np.arange(p, dtype=np.int64)
+    closed = (2 * i - p) ** 2 - p
+    assert d_vector(p, 1).tolist() == closed.tolist()
+    # L(p, p-1) = -L(p, 1): its recursion passes through p * |N_lower| ~ p^3
+    assert sorted(d_vector(p, p - 1).tolist()) == sorted((-closed).tolist())
+    for q in (p - 1, 2, 12345):
+        assert lambda_rustamov(p, q) == lambda_dedekind(p, q), q
+    d_vector.cache_clear()   # drop the 4 MB arrays
+    for p in (INT64_P_BOUND, INT64_P_BOUND + 1):
+        with pytest.raises(Int64BoundError):
+            d_vector(p, 3)
+        with pytest.raises(Int64BoundError):
+            coverage_depth(p, 1, 1, 1)
 
 
 @pytest.mark.parametrize("p,i,expected", [
@@ -63,7 +85,8 @@ def test_recursion_matches_closed_form_q1():
 
 
 def test_homeomorphism_invariance():
-    # multiset of correction terms is the same for q and q^{-1}
+    # multiset of correction terms is the same for q and q^{-1}; compared as
+    # the integers N = 4p * d, all at the same scale 4p
     for p in range(2, 201):
         for q in range(2, p):
             if gcd(p, q) != 1:
@@ -71,8 +94,8 @@ def test_homeomorphism_invariance():
             qi = pow(q, -1, p)
             if qi < q:
                 continue  # pair already checked
-            a = sorted(d_lens(p, q, i) for i in range(p))
-            b = sorted(d_lens(p, qi, i) for i in range(p))
+            a = sorted(d_vector(p, q).tolist())
+            b = sorted(d_vector(p, qi).tolist())
             assert a == b, (p, q, qi)
 
 

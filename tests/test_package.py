@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +16,17 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"lenssurg.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_benchmark_bindings_resolve():
+    # perfbench/spans.py wraps package functions by (module, attribute); a
+    # renamed or dropped binding would make its layer metrics read 0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, *_ in spans.BINDINGS + (spans.SLOPE,):
+        mod = importlib.import_module(f"lenssurg.{module}")
+        assert callable(getattr(mod, attr, None)), (module, attr)
+    d_vector = importlib.import_module("lenssurg.dinv").d_vector
+    assert callable(d_vector.cache_info) and callable(d_vector.cache_clear)

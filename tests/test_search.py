@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from lenssurg.alex import genus_from_reduced, reduced_coeffs
 from lenssurg.certify import Certificate, Rejection, _certify_class, certify
 from lenssurg.search import (
     _class_reps,
@@ -81,8 +82,10 @@ def test_mode_equivalence_small():
 
 
 def test_screen_agrees_with_pipeline():
-    # the coverage-depth screen must reject exactly when the full pipeline
-    # rejects with an out-of-form reduced vector
+    # the coverage-depth screen must reject only when the full pipeline
+    # rejects with an out-of-form reduced vector, and it may pass on to that
+    # rejection only a collision genus 2g >= p, which it leaves to unreduce
+    passed_to_os_form = 0
     for p in range(2, 141):
         for h, hp, _, _ in _class_reps(p):
             passed = _screen(p, h, hp)
@@ -91,6 +94,11 @@ def test_screen_agrees_with_pipeline():
                 assert passed, (p, h)
             elif not passed:
                 assert result.stage == "os-form", (p, h, result.stage)
+            elif result.stage == "os-form":
+                g = genus_from_reduced(reduced_coeffs(p, h * h % p, h))
+                assert 2 * g >= p, (p, h, g)
+                passed_to_os_form += 1
+    assert passed_to_os_form > 0   # the collision genera do reach the pipeline
 
 
 def test_exhaustive_bulk_counts_match_bruteforce():
