@@ -76,9 +76,6 @@ class SymmetricPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval_at_one(self) -> int:
-        return self.coeffs[0] + 2 * sum(self.coeffs[1:])
-
     def __str__(self):
         terms = []
         for i in range(-self.degree(), self.degree() + 1):

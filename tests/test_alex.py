@@ -188,7 +188,7 @@ def test_torsion_second_difference_duality():
     for _ in range(200):
         poly = _random_os_poly(rng)
         assert os_form_check(poly) is not None
-        assert poly.eval_at_one() == 1
+        assert poly.coeffs[0] + 2 * sum(poly.coeffs[1:]) == 1   # Delta(1) = 1
         ts = torsion_from_poly(poly.coeffs).tolist()
 
         def t(i):
