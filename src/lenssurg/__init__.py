@@ -13,7 +13,7 @@ from .alex import (
     torsion_from_poly,
     unreduce,
 )
-from .arith import dedekind_sum, is_square_mod, mod_inverse, reduce_mod
+from .arith import dedekind_sum, is_square_mod, mod_inverse
 from .casson import euler_check, lambda_dedekind, lambda_rustamov, ras_verify
 from .certify import (
     Certificate,
@@ -26,7 +26,7 @@ from .certify import (
     derive_d,
     lift_to_d2,
 )
-from .dinv import d_lens, d_lens_p1, spin_c_Q
+from .dinv import d_lens
 from .fgroup import (
     BINARY_ICOSAHEDRAL,
     GroupPresentation,

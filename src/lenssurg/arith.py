@@ -14,12 +14,9 @@ __all__ = [
     "INT64_P_BOUND",
     "Int64BoundError",
     "check_int64_bound",
-    "reduce_mod",
     "mod_inverse",
     "is_square_mod",
     "dedekind_sum",
-    "Fraction",
-    "gcd",
 ]
 
 # The numpy stages are exact in int64 for p < 2**19 = INT64_P_BOUND: the
@@ -38,13 +35,6 @@ class Int64BoundError(ValueError):
 def check_int64_bound(p: int) -> None:
     if p >= INT64_P_BOUND:
         raise Int64BoundError(f"p = {p} is not below the int64 exactness bound 2**19")
-
-
-def reduce_mod(gamma: int, p: int) -> int:
-    """Canonical residue of gamma in [0, p)."""
-    if p < 1:
-        raise ValueError(f"modulus must be positive, got {p}")
-    return gamma % p
 
 
 def mod_inverse(h: int, p: int) -> int:

@@ -1,4 +1,4 @@
-"""Correction terms d(L(p,q), i) of lens spaces and the Spin^c relabeling Q.
+"""Correction terms d(L(p,q), i) of lens spaces and the Spin^c shift c.
 
 L(p,q) is the p/q-surgery on the unknot with the orientation for which
 d(L(p,1), i) = ((2i - p)^2 - p) / (4p).  Every d(L(p,q), i) lies in
@@ -15,8 +15,9 @@ with base case N(1, 0, 0) = 0, indices always reduced into [0, modulus).
 d_vector evaluates one level as int64 numpy operations with a single
 np.divmod; the division is exact, and a remainder raises ArithmeticError.
 int64 is exact for p below arith.INT64_P_BOUND, and d_vector raises
-Int64BoundError above it.  d_lens and d_lens_p1 give the Fraction values
-N / (4p).  The labeling convention is pinned by the certification anchors;
+Int64BoundError above it.  d_lens gives the Fraction value N / (4p).  The
+relabeling Q(i) = [h*i + c]_p of Spin^c structures takes its shift c from
+spin_c_c.  The labeling convention is pinned by the certification anchors;
 see the certify module tests.
 """
 
@@ -28,14 +29,7 @@ import numpy as np
 
 from .arith import check_int64_bound
 
-__all__ = ["d_lens_p1", "d_lens", "d_vector", "spin_c_c", "spin_c_Q"]
-
-
-def d_lens_p1(p: int, i: int) -> Fraction:
-    """Closed form d(L(p,1), i) = ((2i - p)^2 - p) / (4p) for 0 <= i < p."""
-    if not 0 <= i < p:
-        raise ValueError(f"index {i} out of range for modulus {p}")
-    return Fraction((2 * i - p) ** 2 - p, 4 * p)
+__all__ = ["d_lens", "d_vector", "spin_c_c"]
 
 
 @lru_cache(maxsize=256)
@@ -64,7 +58,7 @@ def d_vector(p: int, q: int) -> np.ndarray:
 def d_lens(p: int, q: int, i: int) -> Fraction:
     """d(L(p,q), i) with gcd(p,q) = 1, 0 < q < p, 0 <= i < p.
 
-    For q = 1 this agrees with d_lens_p1 exactly.
+    For q = 1 this is the closed form ((2i - p)^2 - p) / (4p).
     """
     if not 0 < q < p:
         raise ValueError(f"need 0 < q < p, got ({p}, {q})")
@@ -83,8 +77,3 @@ def spin_c_c(h: int, p: int) -> int:
     if prod % 2 != 0:
         raise ValueError(f"ill-formed Spin^c shift for (h, p) = ({h}, {p})")
     return (prod // 2) % p
-
-
-def spin_c_Q(h: int, p: int, i: int) -> int:
-    """Q(i) = [h*i + c]_p; a bijection of Z/p since h is invertible."""
-    return (h * i + spin_c_c(h, p)) % p

@@ -9,7 +9,11 @@ copy of the relators by Nielsen moves (automorphisms of the free group) and
 by substituting one relator into the other (Tietze transformations), so
 the group is the same, and then runs HLT scan-and-fill on it (Holt, Eick
 and O'Brien, *Handbook of Computational Group Theory*, sections 5.1-5.2);
-the presentation itself, and its printed form, stay as built.
+the presentation itself, and its printed form, stay as built.  The Nielsen
+moves come in runs: the best of the eight is repeated while it still
+shortens the copy, and only then are all eight tried again.  For the datum
+(2001, 721, 82) one move shortens the 4,039 letters 25 times in a row, so
+all eight are tried once for that run, not once for each of its steps.
 
 Words are sequences of nonzero ints: +1/-1 for the first generator and
 its inverse, +2/-2 for the second.  Printed form uses a/A/b/B.
@@ -156,35 +160,50 @@ def _substitute(words):
     return best
 
 
+# the eight Nielsen moves x_g -> x_o^e x_g or x_g x_o^e as str.translate tables
+_NIELSEN_MOVES = tuple(
+    str.maketrans({g: image, g.upper(): _inverse(image)})
+    for g, o in ("ab", "ba") for e in (o, o.swapcase()) for image in (e + g, g + e)
+)
+
+
+def _nielsen(words, move):
+    """(total length, words) after one Nielsen move and reduction."""
+    cand = [_reduce(w.translate(move)) for w in words]
+    return sum(map(len, cand)), cand
+
+
 def _simplify(pres: GroupPresentation) -> GroupPresentation:
     """Shorten the relators by greedy Nielsen moves and substitutions.
 
     A Nielsen move replaces x_g by x_o^e x_g or by x_g x_o^e (o the other
     generator, e = +-1).  It is an automorphism of the free group, so the
     presented group does not change; nor does a substitution of one
-    relator into another (`_substitute`).  Each step applies the Nielsen
-    move that shortens the total length of the freely and cyclically
-    reduced relators the most, or, if none does, the best substitution;
-    the loop stops when neither shortens it.  Every fixture datum ends at
-    relators of 5 and 7 letters, the length of the standard presentation
-    of the binary icosahedral group.
+    relator into another (`_substitute`).  The moves are taken in runs:
+    the Nielsen move that shortens the total length of the freely and
+    cyclically reduced relators the most is applied, then applied again
+    for as long as it still shortens it, and only then are all eight moves
+    searched again; if none shortens it, the best substitution is applied
+    instead.  The loop stops when neither shortens it, so the result is a
+    local minimum for all eight moves and the substitutions.  Every
+    fixture datum ends at relators of 5 and 7 letters, the length of the
+    standard presentation of the binary icosahedral group.
     """
     words = [_reduce("".join(_LETTERS[x] for x in w)) for w in pres.relators]
     total = sum(map(len, words))
+    run = None   # the Nielsen move that shortened last
     while True:
-        best = None
-        for g, o in ("ab", "ba"):
-            for e in (o, o.swapcase()):
-                for image in (e + g, g + e):
-                    move = str.maketrans({g: image, g.upper(): _inverse(image)})
-                    cand = [_reduce(w.translate(move)) for w in words]
-                    length = sum(map(len, cand))
-                    if length < (best[0] if best else total):
-                        best = (length, cand)
-        if best is None:
-            best = _substitute(words)
-        if best is None:
-            break
+        best = _nielsen(words, run) if run else None
+        if best is None or best[0] >= total:
+            best, run = None, None
+            for move in _NIELSEN_MOVES:
+                cand = _nielsen(words, move)
+                if cand[0] < (best[0] if best else total):
+                    best, run = cand, move
+            if best is None:
+                best = _substitute(words)
+            if best is None:
+                break
         total, words = best
     codes = {c: x for x, c in _LETTERS.items()}
     return GroupPresentation(tuple(tuple(codes[c] for c in w) for w in words))

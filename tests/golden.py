@@ -1,11 +1,14 @@
-"""Frozen reference data shared by the test modules.
+"""Frozen reference data and small oracles shared by the test modules.
 
 Polynomials are stored as upper-half coefficient tuples (a_0, ..., a_g);
 they are the classification polynomials for the small sporadic surgeries,
 entered by hand with the two misprinted tails symmetrized.
 """
 
+from fractions import Fraction
+
 from lenssurg.alex import SymmetricPoly
+from lenssurg.dinv import spin_c_c
 
 TREFOIL = SymmetricPoly((-1, 1))
 
@@ -37,3 +40,15 @@ def delta_k1(p: int) -> SymmetricPoly:
     coeffs[g - 1] = -1
     coeffs[g] = 1
     return SymmetricPoly(tuple(coeffs))
+
+
+def d_lens_p1(p: int, i: int) -> Fraction:
+    """Oracle: the closed form d(L(p,1), i) = ((2i - p)^2 - p) / (4p), 0 <= i < p."""
+    if not 0 <= i < p:
+        raise ValueError(f"index {i} out of range for modulus {p}")
+    return Fraction((2 * i - p) ** 2 - p, 4 * p)
+
+
+def spin_c_Q(h: int, p: int, i: int) -> int:
+    """Oracle: the Spin^c relabeling Q(i) = [h*i + c]_p."""
+    return (h * i + spin_c_c(h, p)) % p

@@ -15,7 +15,7 @@ import pytest
 from lenssurg.alex import dd1, delta_relation_check, reduce_poly
 from lenssurg.casson import euler_check, lambda_dedekind, lambda_rustamov, ras_verify
 from lenssurg.certify import Certificate, certify, lift_to_d2
-from lenssurg.dinv import d_lens, d_lens_p1, spin_c_Q
+from lenssurg.dinv import d_lens
 from lenssurg.fgroup import (
     BINARY_ICOSAHEDRAL,
     abelianization_order,
@@ -38,7 +38,9 @@ from golden import (
     DELTA_K5_D0,
     DELTA_K5_D2,
     DELTA_K6,
+    d_lens_p1,
     delta_k1,
+    spin_c_Q,
 )
 
 THREADS = 2

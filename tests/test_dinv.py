@@ -9,7 +9,8 @@ from lenssurg import dinv
 from lenssurg.alex import coverage_depth
 from lenssurg.arith import INT64_P_BOUND, Int64BoundError
 from lenssurg.casson import lambda_dedekind, lambda_rustamov
-from lenssurg.dinv import d_lens, d_lens_p1, d_vector, spin_c_Q
+from lenssurg.dinv import d_lens, d_vector
+from golden import d_lens_p1, spin_c_Q
 
 
 @lru_cache(maxsize=None)

@@ -100,11 +100,37 @@ def _is_reduced(word):
     return free and (len(word) < 2 or word[0] != -word[-1])
 
 
+def _cyclically_reduced(word):
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    while len(out) > 1 and out[0] == -out[-1]:
+        out = out[1:-1]
+    return out
+
+
+def _nielsen_substitutions():
+    """x_g -> x_o^e x_g or x_g x_o^e (o the other generator, e = +-1)."""
+    subs = []
+    for g in (1, 2):
+        o = 3 - g
+        for e in (o, -o):
+            for image in ((e, g), (g, e)):
+                inverse = tuple(-x for x in reversed(image))
+                subs.append({g: image, -g: inverse, o: (o,), -o: (-o,)})
+    return subs
+
+
 def test_simplify_keeps_abelianization_and_shortens():
     from lenssurg.search import enumerate_search
 
     certs = enumerate_search(2, 151).certificates
     assert certs
+    subs = _nielsen_substitutions()
+    assert len(subs) == 8
     for cert in certs:
         pres = build_presentation(cert)
         simple = _simplify(pres)
@@ -113,6 +139,13 @@ def test_simplify_keeps_abelianization_and_shortens():
         for new, old in zip(simple.relators, pres.relators):
             assert _is_reduced(new), cert.datum
             assert len(new) <= len(old), cert.datum
+        # a local minimum: no Nielsen move and no substitution shortens it
+        total = sum(map(len, simple.relators))
+        for sub in subs:
+            moved = [_cyclically_reduced([y for x in w for y in sub[x]])
+                     for w in simple.relators]
+            assert sum(map(len, moved)) >= total, cert.datum
+        assert _substitute(str(simple).split("\n")) is None, cert.datum
 
 
 def test_simplify_examples():
@@ -135,6 +168,17 @@ def test_order_120_at_p_near_2000(p, q, h):
     # the standard presentation of the binary icosahedral group
     assert sorted(map(len, _simplify(pres).relators)) == [5, 7]
     assert todd_coxeter(pres) == 120
+
+
+def test_whole_fixture_closes_at_order_120():
+    from lenssurg.tables import load_fixture
+
+    rows = load_fixture("table1") + load_fixture("table2")
+    assert len(rows) == 190
+    for p, q, h, _ in rows:
+        pres = build_presentation(certify(p, q, h))
+        assert sorted(map(len, _simplify(pres).relators)) == [5, 7], (p, q, h)
+        assert todd_coxeter(pres) == 120, (p, q, h)
 
 
 def test_substitute_examples():

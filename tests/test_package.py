@@ -18,6 +18,16 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+@pytest.mark.parametrize("module,name", [
+    ("arith", "reduce_mod"), ("arith", "Fraction"), ("arith", "gcd"),
+    ("dinv", "d_lens_p1"), ("dinv", "spin_c_Q"),
+])
+def test_test_only_helpers_are_not_exported(module, name):
+    # test oracles (tests/golden.py, tests/test_arith.py), not package API
+    assert name not in importlib.import_module(f"lenssurg.{module}").__all__
+    assert not hasattr(lenssurg, name)
+
+
 def test_benchmark_bindings_resolve():
     # perfbench/spans.py wraps package functions by (module, attribute); a
     # renamed or dropped binding would make its layer metrics read 0
