@@ -13,7 +13,7 @@ The certification stages (coverage_depth, reduced_coeffs, unreduce,
 reduce_poly, torsion_from_poly, reduced_torsions) take and return int64
 numpy arrays: a reduced vector a~_0..a~_{p-1}, coefficients a_0..a_g and
 torsions t_0..t_{g-1}.  They are exact for p below arith.INT64_P_BOUND.
-SymmetricPoly and ReducedVector are the tuple-valued forms stored in a
+SymmetricPoly is the tuple-valued form of the polynomial stored in a
 certificate.
 """
 
@@ -27,7 +27,6 @@ from .dinv import spin_c_c
 
 __all__ = [
     "SymmetricPoly",
-    "ReducedVector",
     "UnreduceError",
     "phi",
     "coverage_depth",
@@ -42,7 +41,6 @@ __all__ = [
     "torsion_from_poly",
     "reduced_torsions",
     "dd1",
-    "delta_relation_check",
     "delta_lift",
 ]
 
@@ -97,22 +95,6 @@ class SymmetricPoly:
         for sign, body in terms[1:]:
             out += f" {sign} {body}"
         return out
-
-
-@dataclass(frozen=True)
-class ReducedVector:
-    """Coefficient sums over residue classes mod p: entry i is sum of a_j, j = i (p)."""
-
-    p: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.p:
-            raise ValueError("entry count must equal the modulus")
-        object.__setattr__(self, "entries", tuple(map(int, self.entries)))
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i % self.p]
 
 
 def phi(p: int, q: int, h: int, k: int) -> int:
@@ -278,16 +260,6 @@ def reduced_torsions(torsions, p: int) -> np.ndarray:
 def dd1(poly: SymmetricPoly) -> int:
     """Second derivative at t=1: sum_i i^2 a_i = 2 sum_{i>=1} i^2 a_i."""
     return 2 * sum(i * i * a for i, a in enumerate(poly.coeffs))
-
-
-def delta_relation_check(delta_s3: SymmetricPoly, delta_y: SymmetricPoly, p: int) -> bool:
-    """True iff delta_y = delta_s3 - (t^{(p-1)/2} + c.c.) + (t^{(p+1)/2} + c.c.)."""
-    if p % 2 == 0:
-        raise ValueError("the degree-shift relation needs odd p")
-    try:
-        return delta_y == delta_lift(delta_s3, p)
-    except ValueError:
-        return False
 
 
 def delta_lift(poly: SymmetricPoly, p: int) -> SymmetricPoly:

@@ -19,11 +19,14 @@ scaled by 4p, in integers: with N = 4p * d(L(p,q*), .) from dinv.d_vector,
 
     D - N[Q(i)] + (2i - p)^2 - p == 8p * t~_i    for every i in Z/p.
 
-The stages run on the int64 arrays of the alex module (reduced vector,
-coefficients, torsions and their class sums) and check the formula at all i
-in one vectorised comparison; the bound arith.INT64_P_BOUND keeps them exact.
-The tuple-valued ReducedVector and SymmetricPoly are built only for a
-certificate, never for a rejection.
+_forced_d solves that identity for D at every i, in one int64 vector:
+D_i = 8p * t~_i + N[Q(i)] - (2i - p)^2 + p is 4p times the d forced at i.
+D_0 is the derived d (scaled by 4p), and the formula holds at all i exactly
+when every D_i equals D_0.  The stages run on the int64 arrays of the alex
+module (reduced vector, coefficients, torsions and their class sums); the
+bound arith.INT64_P_BOUND keeps them exact.  The certificate stores the
+reduced vector as a tuple and the polynomial as a SymmetricPoly, both built
+only for a certificate, never for a rejection.
 """
 
 from dataclasses import dataclass, replace
@@ -33,7 +36,6 @@ from math import gcd
 import numpy as np
 
 from .alex import (
-    ReducedVector,
     SymmetricPoly,
     UnreduceError,
     dd1,
@@ -55,9 +57,9 @@ __all__ = [
     "Rejection",
     "REJECTION_STAGES",
     "canonical_q",
+    "h_class_set",
     "canonical_h",
     "square_rep",
-    "derive_d",
     "bounds_check",
     "certify",
     "lift_to_d2",
@@ -90,7 +92,7 @@ class SurgeryDatum:
 class Certificate:
     datum: SurgeryDatum
     q_square: int                   # representative with q_square = h^2 mod p
-    reduced: ReducedVector
+    reduced: tuple                  # a~_0 .. a~_{p-1}
     poly: SymmetricPoly
     torsions: tuple                 # t_0 .. t_{g-1}
     lambda_pq: Fraction
@@ -131,11 +133,16 @@ def canonical_q(p: int, q: int) -> int:
     return min(q, mod_inverse(q, p))
 
 
-def canonical_h(p: int, h: int) -> int:
-    """Minimal representative of the class set {+-h^{+-1}} in [1, p)."""
+def h_class_set(p: int, h: int) -> set:
+    """{[h], [-h], [h^{-1}], [-h^{-1}]} as integers in {1, ..., p-1}."""
     h = h % p
     hp = mod_inverse(h, p)
-    return min(h, (-h) % p, hp, (-hp) % p)
+    return {h, p - h, hp, p - hp}
+
+
+def canonical_h(p: int, h: int) -> int:
+    """Minimal representative of the class set {+-h^{+-1}} in [1, p)."""
+    return min(h_class_set(p, h))
 
 
 def square_rep(p: int, h: int) -> int:
@@ -148,21 +155,6 @@ def _compatible(p: int, q: int, h: int) -> bool:
     qs = square_rep(p, h)
     q = q % p
     return qs == q or qs == mod_inverse(q, p)
-
-
-def derive_d(p: int, q: int, h: int) -> Fraction:
-    """Correction term forced by the surgery formula at i = 0.
-
-    d = 2*t~_0 + d(L(p,q*), Q(0)) - d(L(p,1), 0) with q* = [h^2]_p and t~
-    the mod-p reduced Turaev torsions of the reconstructed polynomial.
-    Raises UnreduceError when the reduced coefficients admit no polynomial.
-    """
-    if gcd(p, q) != 1 or gcd(p, h) != 1:
-        raise ValueError(f"({p}, {q}, {h}) is not pairwise admissible")
-    if not _compatible(p, q, h):
-        raise ValueError(f"q = {q} is not the square class of h = {h} mod {p}")
-    _, _, coeffs = _reconstruct(p, h)
-    return Fraction(_scaled_d(p, h, reduced_torsions(torsion_from_poly(coeffs), p)), 4 * p)
 
 
 def _reconstruct(p: int, h: int, g=None):
@@ -179,22 +171,15 @@ def _reconstruct(p: int, h: int, g=None):
     return e, g, unreduce(e, g)
 
 
-def _scaled_d(p: int, h: int, tred: np.ndarray) -> int:
-    """4p * d forced by the surgery formula at i = 0, where Q(0) = spin_c_c(h, p)."""
-    n = d_vector(p, square_rep(p, h))
-    return 8 * p * int(tred[0]) + int(n[spin_c_c(h, p)]) - (p * p - p)
+def _forced_d(p: int, h: int, tred: np.ndarray) -> np.ndarray:
+    """D_i = 8p * t~_i + N[Q(i)] - (2i - p)^2 + p for every i in Z/p, as int64.
 
-
-def _formula_failure(p: int, h: int, tred: np.ndarray, scaled_d: int):
-    """First i in Z/p where the surgery formula scaled by 4p fails, else None.
-
-    The scaled terms N are those of L(p, [h^2]_p), read at Q(i) = [h*i + c]_p.
+    D_i is 4p times the d that the surgery formula forces at i.  The scaled
+    terms N are those of L(p, [h^2]_p), read at Q(i) = [h*i + c]_p.
     """
     n = d_vector(p, square_rep(p, h))
     i = np.arange(p, dtype=np.int64)
-    lhs = scaled_d - n[(h * i + spin_c_c(h, p)) % p] + (2 * i - p) ** 2 - p
-    bad = np.flatnonzero(lhs != 8 * p * tred)
-    return int(bad[0]) if bad.size else None
+    return 8 * p * tred + n[(h * i + spin_c_c(h, p)) % p] - (2 * i - p) ** 2 + p
 
 
 def bounds_check(g: int, d: int, p: int) -> bool:
@@ -253,8 +238,8 @@ def _certify_class(p, h, require_even_d=True, g=None):
         return Rejection(p, q_canon, h_canon, "negative-torsion",
                          f"t = {tuple(torsions.tolist())}")
 
-    tred = reduced_torsions(torsions, p)
-    scaled_d = _scaled_d(p, h, tred)
+    forced = _forced_d(p, h, reduced_torsions(torsions, p))
+    scaled_d = int(forced[0])
     d, rem = divmod(scaled_d, 4 * p)
     if rem:
         d_frac = Fraction(scaled_d, 4 * p)
@@ -264,10 +249,10 @@ def _certify_class(p, h, require_even_d=True, g=None):
         return Rejection(p, q_canon, h_canon, "odd-d",
                          f"derived d = {d}", derived_d=d)
 
-    i = _formula_failure(p, h, tred, scaled_d)
-    if i is not None:
+    bad = np.flatnonzero(forced != scaled_d)
+    if bad.size:
         return Rejection(p, q_canon, h_canon, "correction-mismatch",
-                         f"surgery formula fails at i = {i}", derived_d=d)
+                         f"surgery formula fails at i = {bad[0]}", derived_d=d)
 
     if g >= 1:
         if g + 2 * d <= 0:
@@ -298,7 +283,7 @@ def _certify_class(p, h, require_even_d=True, g=None):
     return Certificate(
         datum=datum,
         q_square=qs,
-        reduced=ReducedVector(p, e.tolist()),
+        reduced=tuple(e.tolist()),
         poly=poly,
         torsions=tuple(torsions.tolist()),
         lambda_pq=lambda_pq,
@@ -339,7 +324,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "g": cert.g,
         "q_square": cert.q_square,
         "coefficients": list(cert.poly.coeffs),
-        "reduced": list(cert.reduced.entries),
+        "reduced": list(cert.reduced),
         "torsions": list(cert.torsions),
         "lambda_pq": [cert.lambda_pq.numerator, cert.lambda_pq.denominator],
         "lambda_p1": [cert.lambda_p1.numerator, cert.lambda_p1.denominator],
@@ -349,11 +334,13 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> Certificate:
+    if len(doc["reduced"]) != doc["p"]:
+        raise ValueError("reduced vector length must equal the modulus p")
     datum = SurgeryDatum(p=doc["p"], q=doc["q"], h=doc["h"], d=doc["d"], g=doc["g"])
     return Certificate(
         datum=datum,
         q_square=doc["q_square"],
-        reduced=ReducedVector(doc["p"], tuple(doc["reduced"])),
+        reduced=tuple(doc["reduced"]),
         poly=SymmetricPoly(tuple(doc["coefficients"])),
         torsions=tuple(doc["torsions"]),
         lambda_pq=Fraction(*doc["lambda_pq"]),

@@ -75,6 +75,8 @@ def _write_out(text, path):
 def cmd_dinv(args):
     p = _slope(args.p)
     if p == 1:
+        if args.i not in (None, 0):
+            raise UsageError("i must lie in [0, 1)")
         print("0 0")
         return 0
     q = args.q % p
@@ -154,6 +156,7 @@ def cmd_search(args):
 
 
 def cmd_families(args):
+    _positive(args.lmax, "--lmax")
     insts = search.families(-args.lmax, args.lmax)
     bad = 0
     for inst in insts:
@@ -177,8 +180,8 @@ def cmd_tables(args):
         fixture_rows = tables.load_fixture(args.verify)
     except (OSError, ValueError) as err:
         raise UsageError(f"cannot read table {args.verify!r}: {err}") from err
-    pmin = args.pmin if args.pmin else 2
-    pmax = args.pmax if args.pmax else max((r[0] for r in fixture_rows), default=0)
+    pmin = 2 if args.pmin is None else args.pmin
+    pmax = max((r[0] for r in fixture_rows), default=0) if args.pmax is None else args.pmax
     _slope_range(pmin, pmax)
     fixture_rows = [r for r in fixture_rows if pmin <= r[0] <= pmax]
     report = search.enumerate_search(pmin, pmax, mode="square",
@@ -195,6 +198,7 @@ def cmd_tables(args):
 
 def cmd_group(args):
     p = _surgery_datum(args)
+    _positive(args.max_cosets, "--max-cosets")
     result = certify(p, args.q, args.h)
     if not isinstance(result, Certificate):
         print(f"rejected at stage: {result.stage} ({result.detail})")

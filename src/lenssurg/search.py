@@ -23,8 +23,14 @@ from math import gcd, isqrt
 import numpy as np
 
 from .alex import coverage_depth, is_alternating, reduced_from_depth
-from .arith import mod_inverse
-from .certify import Certificate, Rejection, _certify_class, canonical_h, canonical_q
+from .certify import (
+    Certificate,
+    Rejection,
+    _certify_class,
+    canonical_h,
+    canonical_q,
+    h_class_set,
+)
 
 __all__ = [
     "SearchReport",
@@ -32,7 +38,6 @@ __all__ = [
     "FamilyInstance",
     "FAMILY_SPECS",
     "SPORADIC_FAMILY",
-    "h_class_set",
     "enumerate_search",
     "families",
     "conjecture_check",
@@ -41,15 +46,6 @@ __all__ = [
     "plotdata_csv",
     "report_json",
 ]
-
-
-def h_class_set(p: int, h: int) -> set:
-    """{[h], [-h], [h^{-1}], [-h^{-1}]} as integers in {1, ..., p-1}."""
-    if gcd(h, p) != 1:
-        raise ValueError(f"gcd({h}, {p}) != 1")
-    h = h % p
-    hp = mod_inverse(h, p)
-    return {h, p - h, hp, p - hp}
 
 
 @dataclass

@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from lenssurg.alex import dd1, delta_relation_check, reduce_poly
+from lenssurg.alex import dd1, delta_lift, reduce_poly
 from lenssurg.casson import euler_check, lambda_dedekind, lambda_rustamov, ras_verify
 from lenssurg.certify import Certificate, certify, lift_to_d2
 from lenssurg.dinv import d_lens
@@ -106,8 +106,8 @@ def test_criterion_04_sporadic_classification():
         assert cert.d == 0 and cert.poly == d0_poly
         lifted = lift_to_d2(cert)
         assert lifted.d == 2 and lifted.poly == d2_poly
-        assert delta_relation_check(cert.poly, lifted.poly, p)
-        assert tuple(reduce_poly(d2_poly.coeffs, p).tolist()) == cert.reduced.entries
+        assert delta_lift(cert.poly, p) == lifted.poly
+        assert tuple(reduce_poly(d2_poly.coeffs, p).tolist()) == cert.reduced
 
     # the L(p,1), h = 1 family for odd p, with the degree-shift relation
     for p in (5, 9, 11, 15, 21, 33):
@@ -116,7 +116,7 @@ def test_criterion_04_sporadic_classification():
         lifted = lift_to_d2(base)
         assert lifted.poly == delta_k1(p)
         assert (lifted.d, lifted.g) == (2, (p + 1) // 2)
-        assert delta_relation_check(base.poly, lifted.poly, p)
+        assert delta_lift(base.poly, p) == lifted.poly
     _announce(4, "sporadic classification polynomials")
 
 

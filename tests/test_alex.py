@@ -9,7 +9,6 @@ from lenssurg.alex import (
     UnreduceError,
     dd1,
     delta_lift,
-    delta_relation_check,
     genus_from_reduced,
     is_alternating,
     is_symmetric,
@@ -209,10 +208,9 @@ def test_dd1_examples():
 
 def test_delta_relation():
     for p in (5, 9, 11, 15):
-        assert delta_relation_check(ONE, delta_k1(p), p)
-    assert not delta_relation_check(DELTA_K2, DELTA_K2, 9)
+        assert delta_lift(ONE, p) == delta_k1(p)
+    assert delta_lift(DELTA_K2, 9) != DELTA_K2
     # the L(7,2) pair: trefoil vs the genus-4 polynomial
-    assert delta_relation_check(TREFOIL, DELTA_K2, 7)
     assert delta_lift(TREFOIL, 7) == DELTA_K2
     with pytest.raises(ValueError):
-        delta_relation_check(ONE, delta_k1(5), 4)
+        delta_lift(ONE, 4)

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import json
 from fractions import Fraction
 from math import gcd
@@ -7,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import lenssurg.certify as mod
 from lenssurg.alex import (
     dd1,
     delta_lift,
@@ -28,12 +28,12 @@ from lenssurg.certify import (
     certificate_from_json,
     certificate_to_json,
     certify,
-    derive_d,
+    h_class_set,
     lift_to_d2,
 )
 from lenssurg.cli import main
 from lenssurg.dinv import d_lens, d_vector, spin_c_c
-from lenssurg.search import _class_reps, enumerate_search, h_class_set
+from lenssurg.search import _class_reps, enumerate_search
 from golden import (
     DELTA_K2,
     DELTA_K3_D2,
@@ -63,7 +63,7 @@ def test_canonicalization():
     (7, 2, 2, 0),
 ])
 def test_derive_d(p, q, h, expected):
-    assert derive_d(p, q, h) == Fraction(expected)
+    assert certify(p, q, h, require_even_d=False).d == expected
 
 
 def test_certify_anchor_8_1_3():
@@ -139,15 +139,12 @@ def test_certificate_invariants():
         squares = {h0 * h0 % p for h0 in h_class_set(p, cert.datum.h)}
         assert any(canonical_q(p, s) == cert.datum.q for s in squares)
         assert cert.q_square == cert.datum.h ** 2 % p
-        assert tuple(reduce_poly(cert.poly.coeffs, p).tolist()) == cert.reduced.entries
+        assert tuple(reduce_poly(cert.poly.coeffs, p).tolist()) == cert.reduced
 
 
 def test_incompatible_pairs_never_certify(monkeypatch):
     # running the raw reduction with a lens parameter that is a residue but
     # not the square class of h always fails; justifies the fast rejection.
-    # importlib, since `import lenssurg.certify` would bind the re-exported
-    # function certify rather than the module
-    mod = importlib.import_module("lenssurg.certify")
     for p in range(2, 31):
         for h in range(1, p):
             if gcd(h, p) != 1:
@@ -167,7 +164,6 @@ def test_correction_mismatch_names_the_first_failing_i(monkeypatch):
     # incompatible square classes reach the all-i stage; the reported i is
     # the first where d = 2 t~_i + d(L(p,q), Q(i)) - d(L(p,1), i) fails,
     # recomputed here in Fractions with the torsions folded by hand
-    mod = importlib.import_module("lenssurg.certify")
     seen = 0
     for p in range(2, 31):
         for h in range(1, p):
@@ -253,6 +249,13 @@ def test_json_roundtrip():
     assert back == cert
 
 
+def test_certificate_from_json_rejects_a_short_reduced_vector():
+    doc = certificate_to_json(certify(38, 7, 7))
+    doc["reduced"] = doc["reduced"][:-1]
+    with pytest.raises(ValueError, match="modulus"):
+        certificate_from_json(doc)
+
+
 def test_os_form_of_every_certificate():
     for p, q, h in [(8, 1, 3), (22, 3, 5), (38, 7, 7), (7, 2, 2)]:
         cert = certify(p, q, h)
@@ -297,7 +300,6 @@ def test_no_numpy_scalars_leak(monkeypatch):
     # the search meets no bound violation (d stays in {0, 2}); shifting every
     # lens-space term N by 4p*k shifts the derived d by k and leaves the
     # formula at all i intact, so the data of genus >= 1 reach that stage
-    mod = importlib.import_module("lenssurg.certify")
     bound_violations = []
     for k in (-40, 40):
         monkeypatch.setattr(mod, "d_vector", lambda p, q, k=k: d_vector(p, q) + 4 * p * k)

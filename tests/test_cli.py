@@ -190,6 +190,12 @@ def test_ras(capsys):
     ("tables", "--verify", "table1", "--pmin", "50", "--pmax", "40"),
     ("plotdata", "--pmax", "1", "--d", "2"),
     ("ras", "--pmax", "3"),
+    ("tables", "--verify", "table1", "--pmin", "0", "--pmax", "30"),
+    ("tables", "--verify", "table1", "--pmax", "0"),
+    ("families", "--lmax", "-3"),
+    ("families", "--lmax", "0"),
+    ("group", "22", "3", "5", "--max-cosets", "-5"),
+    ("dinv", "1", "5", "3"),
 ])
 def test_bad_ranges_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import pkgutil
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -21,11 +22,22 @@ def test_all_names_resolve(name):
 @pytest.mark.parametrize("module,name", [
     ("arith", "reduce_mod"), ("arith", "Fraction"), ("arith", "gcd"),
     ("dinv", "d_lens_p1"), ("dinv", "spin_c_Q"),
+    ("certify", "derive_d"), ("alex", "delta_relation_check"), ("alex", "ReducedVector"),
 ])
 def test_test_only_helpers_are_not_exported(module, name):
     # test oracles (tests/golden.py, tests/test_arith.py), not package API
     assert name not in importlib.import_module(f"lenssurg.{module}").__all__
     assert not hasattr(lenssurg, name)
+
+
+def test_names_live_in_their_modules():
+    # the package re-exports nothing, so a submodule is never shadowed by a
+    # function of the same name
+    import lenssurg.certify
+    assert isinstance(lenssurg.certify, ModuleType)
+    public = [n for n, v in vars(lenssurg).items()
+              if not n.startswith("_") and not isinstance(v, ModuleType)]
+    assert public == []
 
 
 def test_benchmark_bindings_resolve():

@@ -4,14 +4,13 @@ from math import gcd
 import pytest
 
 from lenssurg.alex import genus_from_reduced, reduced_coeffs
-from lenssurg.certify import Certificate, Rejection, _certify_class, certify
+from lenssurg.certify import Certificate, Rejection, _certify_class, certify, h_class_set
 from lenssurg.search import (
     _class_reps,
     _screen,
     conjecture_check,
     enumerate_search,
     families,
-    h_class_set,
     plotdata,
     plotdata_csv,
     report_csv,
