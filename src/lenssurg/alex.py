@@ -118,18 +118,16 @@ def coverage_depth(p: int, q: int, h: int, hp: int) -> np.ndarray:
     """Phi^k_{p,q}(h) for every k in [0, p), as an int64 numpy array.
 
     Takes 0 <= q < p, h = [h]_p and hp = [h^{-1}]_p.  Each j in [1, hp]
-    counts towards Phi^k exactly for k in the circular window
-    [qj - h, qj - 1] mod p, so the windows are summed with a difference
-    array in integer numpy ops, exact while p^2 < 2^63 (checked against
-    arith.INT64_P_BOUND).
+    counts towards Phi^k exactly when its window start [qj]_p lies in
+    [k + 1, k + h], read cyclically.  With C(m) the number of j whose start
+    is at most m, extended by C(m + p) = C(m) + hp, that makes
+    Phi^k = C(k + h) - C(k): one cumulative count in integer numpy ops,
+    exact while p^2 < 2^63 (checked against arith.INT64_P_BOUND).
     """
     check_int64_bound(p)
     starts = (q * np.arange(1, hp + 1, dtype=np.int64)) % p
-    lo = (starts - h) % p
-    diff = np.bincount(lo, minlength=p) - np.bincount(starts, minlength=p)
-    depth = np.cumsum(diff)
-    depth += int(np.count_nonzero(lo > starts))  # windows wrapping past 0
-    return depth
+    c = np.cumsum(np.bincount(starts, minlength=p))
+    return np.concatenate((c[h:], c[:h] + hp)) - c
 
 
 def reduced_from_depth(depth: np.ndarray, h: int, hp: int, count: int) -> np.ndarray:

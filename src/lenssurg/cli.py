@@ -144,6 +144,7 @@ def cmd_certify(args):
 
 
 def cmd_search(args):
+    _positive(args.threads, "--threads")
     _slope_range(args.pmin, args.pmax)
     report = search.enumerate_search(args.pmin, args.pmax, mode=args.mode,
                                      threads=args.threads)
@@ -176,6 +177,7 @@ def cmd_families(args):
 
 
 def cmd_tables(args):
+    _positive(args.threads, "--threads")
     try:
         fixture_rows = tables.load_fixture(args.verify)
     except (OSError, ValueError) as err:
@@ -215,6 +217,7 @@ def cmd_group(args):
 
 
 def cmd_plotdata(args):
+    _positive(args.threads, "--threads")
     _slope_range(2, args.pmax)
     report = search.enumerate_search(2, args.pmax, mode="square",
                                      threads=args.threads)

@@ -46,7 +46,8 @@ def d_vector(p: int, q: int) -> np.ndarray:
     else:
         if not 0 < q < p or gcd(p, q) != 1:
             raise ValueError(f"bad lens parameters ({p}, {q})")
-        lower = np.resize(np.asarray(d_vector(q, p % q), dtype=np.int64), p)  # N_lower[i mod q]
+        lower = np.asarray(d_vector(q, p % q), dtype=np.int64)
+        lower = np.tile(lower, -(-p // q))[:p]   # N_lower[i mod q]
         s = 2 * np.arange(p, dtype=np.int64) + (1 - p - q)
         out, rem = np.divmod(s * s - p * q - p * lower, q)
         if rem.any():

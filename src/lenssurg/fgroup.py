@@ -13,7 +13,10 @@ the presentation itself, and its printed form, stay as built.  The Nielsen
 moves come in runs: the best of the eight is repeated while it still
 shortens the copy, and only then are all eight tried again.  For the datum
 (2001, 721, 82) one move shortens the 4,039 letters 25 times in a row, so
-all eight are tried once for that run, not once for each of its steps.
+all eight are tried once for that run, not once for each of its steps.  A
+move is tried without being applied: its change in length is read off the
+counts of letters and of two-letter pairs in the cyclic words, and only the
+move taken rewrites them.
 
 Words are sequences of nonzero ints: +1/-1 for the first generator and
 its inverse, +2/-2 for the second.  Printed form uses a/A/b/B.
@@ -113,10 +116,17 @@ def _reduce(word):
         n = len(word)
         for pair in ("aA", "Aa", "bB", "Bb"):
             word = word.replace(pair, "")
-    k = 0
-    while 2 * k + 1 < len(word) and word[k] == word[-1 - k].swapcase():
-        k += 1
-    return word[k:len(word) - k]
+    # strip the longest u with word = u v u^-1: binary search for the
+    # longest prefix of word that is also a prefix of its inverse
+    lo, hi = 0, n // 2
+    inv = word[:n - 1 - hi:-1].swapcase()   # the first hi letters of the inverse
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if word[:mid] == inv[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return word[lo:n - lo]
 
 
 def _inverse(word):
@@ -160,17 +170,47 @@ def _substitute(words):
     return best
 
 
-# the eight Nielsen moves x_g -> x_o^e x_g or x_g x_o^e as str.translate tables
+# the eight Nielsen moves x_g -> e x_g or x_g e (e = x_o^{+-1}, o the other
+# generator) as (g, e, append)
 _NIELSEN_MOVES = tuple(
-    str.maketrans({g: image, g.upper(): _inverse(image)})
-    for g, o in ("ab", "ba") for e in (o, o.swapcase()) for image in (e + g, g + e)
+    (g, e, append)
+    for g, o in ("ab", "ba") for e in (o, o.swapcase()) for append in (False, True)
 )
 
 
+def _score(words, move):
+    """The change in total length that a Nielsen move makes, from counts.
+
+    The words must be cyclically reduced.  The move x_g -> x_g e maps g to
+    g e and G = g^-1 to E G, so each g or G adds one letter.  Images end
+    with e, G or an o-letter and start with g, E or an o-letter, so in a
+    reduced word two neighbouring images cancel only as e E, at the pairs
+    g E and e G of the word, read cyclically; no letter lies in two such
+    pairs.  The letter left over cannot cancel with its new neighbour:
+    after g E comes an image that starts with g, E or an o-letter, never G,
+    and before e G one that ends with e, G or an o-letter, never g.  So
+    nothing cascades, and the change is #g + #G - 2(#gE + #eG).  For
+    x_g -> e x_g (images e g and G E) it is #g + #G - 2(#Eg + #Ge).
+    """
+    g, e, append = move
+    G, E = g.upper(), e.swapcase()
+    pairs = (g + E, e + G) if append else (E + g, G + e)
+    score = 0
+    for w in words:
+        if w:
+            ends = w[-1] + w[0]   # the pair across the cyclic seam
+            score += w.count(g) + w.count(G) - 2 * sum(
+                w.count(pair) + (ends == pair) for pair in pairs)
+    return score
+
+
 def _nielsen(words, move):
-    """(total length, words) after one Nielsen move and reduction."""
-    cand = [_reduce(w.translate(move)) for w in words]
-    return sum(map(len, cand)), cand
+    """The words after a Nielsen move, freely and cyclically reduced."""
+    g, e, append = move
+    G, E = g.upper(), e.swapcase()
+    image, inverse = (g + e, E + G) if append else (e + g, G + E)
+    # the first replace adds only o-letters, so the second sees only the G's
+    return [_reduce(w.replace(g, image).replace(G, inverse)) for w in words]
 
 
 def _simplify(pres: GroupPresentation) -> GroupPresentation:
@@ -181,30 +221,29 @@ def _simplify(pres: GroupPresentation) -> GroupPresentation:
     presented group does not change; nor does a substitution of one
     relator into another (`_substitute`).  The moves are taken in runs:
     the Nielsen move that shortens the total length of the freely and
-    cyclically reduced relators the most is applied, then applied again
-    for as long as it still shortens it, and only then are all eight moves
-    searched again; if none shortens it, the best substitution is applied
-    instead.  The loop stops when neither shortens it, so the result is a
-    local minimum for all eight moves and the substitutions.  Every
-    fixture datum ends at relators of 5 and 7 letters, the length of the
-    standard presentation of the binary icosahedral group.
+    cyclically reduced relators the most (by `_score`; the first of equal
+    ones) is applied, then applied again for as long as it still shortens
+    it, and only then are all eight moves searched again; if none shortens
+    it, the best substitution is applied instead.  The loop stops when
+    neither shortens it, so the result is a local minimum for all eight
+    moves and the substitutions.  Every fixture datum ends at relators of 5
+    and 7 letters, the length of the standard presentation of the binary
+    icosahedral group.
     """
     words = [_reduce("".join(_LETTERS[x] for x in w)) for w in pres.relators]
-    total = sum(map(len, words))
     run = None   # the Nielsen move that shortened last
     while True:
-        best = _nielsen(words, run) if run else None
-        if best is None or best[0] >= total:
-            best, run = None, None
-            for move in _NIELSEN_MOVES:
-                cand = _nielsen(words, move)
-                if cand[0] < (best[0] if best else total):
-                    best, run = cand, move
-            if best is None:
-                best = _substitute(words)
-            if best is None:
-                break
-        total, words = best
+        if run is None or _score(words, run) >= 0:
+            scores = [_score(words, move) for move in _NIELSEN_MOVES]
+            best = min(scores)
+            run = _NIELSEN_MOVES[scores.index(best)] if best < 0 else None
+        if run is not None:
+            words = _nielsen(words, run)
+            continue
+        substituted = _substitute(words)
+        if substituted is None:
+            break
+        words = substituted[1]
     codes = {c: x for x, c in _LETTERS.items()}
     return GroupPresentation(tuple(tuple(codes[c] for c in w) for w in words))
 

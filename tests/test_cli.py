@@ -196,6 +196,10 @@ def test_ras(capsys):
     ("families", "--lmax", "0"),
     ("group", "22", "3", "5", "--max-cosets", "-5"),
     ("dinv", "1", "5", "3"),
+    ("search", "--pmax", "30", "--threads", "0"),
+    ("search", "--pmax", "30", "--threads", "-2"),
+    ("tables", "--verify", "table1", "--pmax", "30", "--threads", "0"),
+    ("plotdata", "--pmax", "30", "--d", "2", "--threads", "-1"),
 ])
 def test_bad_ranges_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -1,9 +1,18 @@
+import hashlib
+import itertools
+import random
+
 import pytest
 
 from lenssurg.certify import certify, canonical_h
 from lenssurg.fgroup import (
+    _LETTERS,
+    _NIELSEN_MOVES,
     BINARY_ICOSAHEDRAL,
     GroupPresentation,
+    _nielsen,
+    _reduce,
+    _score,
     _simplify,
     _substitute,
     abelianization_order,
@@ -124,6 +133,42 @@ def _nielsen_substitutions():
     return subs
 
 
+def _letters(word):
+    return "".join(_LETTERS[x] for x in word)
+
+
+def _random_word(rng, n):
+    return [rng.choice((1, -1, 2, -2)) for _ in range(n)]
+
+
+def test_reduce_matches_the_loop_oracle():
+    rng = random.Random(7)
+    words = [_random_word(rng, rng.randrange(40)) for _ in range(2000)]
+    # conjugates u v u^-1 exercise long cyclic strips
+    for _ in range(500):
+        u, v = _random_word(rng, rng.randrange(20)), _random_word(rng, rng.randrange(5))
+        words.append(u + v + [-x for x in reversed(u)])
+    for word in words:
+        assert _reduce(_letters(word)) == _letters(_cyclically_reduced(word)), word
+
+
+def test_move_score_is_the_length_change():
+    # every cyclically reduced word of length 0 to 3, and seeded random ones
+    small = [list(w) for n in range(4) for w in itertools.product((1, -1, 2, -2), repeat=n)]
+    rng = random.Random(11)
+    words = [w for w in small if _cyclically_reduced(w) == w]
+    words += [_cyclically_reduced(_random_word(rng, rng.randrange(80))) for _ in range(300)]
+    assert {len(w) for w in words} >= {0, 1, 2}
+    for move, sub in zip(_NIELSEN_MOVES, _nielsen_substitutions(), strict=True):
+        for i, word in enumerate(words):
+            pair = [word, words[i - 1]]
+            moved = [_cyclically_reduced([y for x in w for y in sub[x]]) for w in pair]
+            letters = [_letters(w) for w in pair]
+            change = sum(map(len, moved)) - sum(map(len, pair))
+            assert _score(letters, move) == change, (move, letters)
+            assert _nielsen(letters, move) == [_letters(w) for w in moved], (move, letters)
+
+
 def test_simplify_keeps_abelianization_and_shortens():
     from lenssurg.search import enumerate_search
 
@@ -175,10 +220,16 @@ def test_whole_fixture_closes_at_order_120():
 
     rows = load_fixture("table1") + load_fixture("table2")
     assert len(rows) == 190
+    digest = hashlib.sha256()
     for p, q, h, _ in rows:
         pres = build_presentation(certify(p, q, h))
-        assert sorted(map(len, _simplify(pres).relators)) == [5, 7], (p, q, h)
+        simple = _simplify(pres)
+        assert sorted(map(len, simple.relators)) == [5, 7], (p, q, h)
+        digest.update(f"{simple}\n".encode())
         assert todd_coxeter(pres) == 120, (p, q, h)
+    # pins the simplified relators of every row, byte for byte
+    assert digest.hexdigest() == (
+        "eaf16d4ae47e141701ca690448facb8ecb5b53586f297e6e669ae113cf7ecba0")
 
 
 def test_substitute_examples():
