@@ -10,11 +10,11 @@ Conventions: polynomials are normalized (Delta(1) = 1) and symmetrized
 h, h' the canonical representatives of h and h^{-1} in [1, p).
 
 The certification stages (coverage_depth, reduced_coeffs, unreduce,
-reduce_poly, torsion_from_poly, reduced_torsions) take and return int64
+reduce_poly, torsion_from_poly, reduced_torsions, dd1) take and return int64
 numpy arrays: a reduced vector a~_0..a~_{p-1}, coefficients a_0..a_g and
-torsions t_0..t_{g-1}.  They are exact for p below arith.INT64_P_BOUND.
-SymmetricPoly is the tuple-valued form of the polynomial stored in a
-certificate.
+torsions t_0..t_{g-1} (dd1 returns a Python int).  They are exact for p
+below arith.INT64_P_BOUND.  SymmetricPoly is the tuple-valued form of the
+polynomial stored in a certificate.
 """
 
 from dataclasses import dataclass
@@ -29,6 +29,7 @@ __all__ = [
     "SymmetricPoly",
     "UnreduceError",
     "phi",
+    "window_starts",
     "coverage_depth",
     "reduced_from_depth",
     "reduced_coeffs",
@@ -114,6 +115,15 @@ def phi(p: int, q: int, h: int, k: int) -> int:
     return count
 
 
+def window_starts(p: int, q: int, hp: int) -> np.ndarray:
+    """The window starts [qj]_p for j in [1, hp], as an int64 array.
+
+    Exact while p^2 < 2^63 (checked against arith.INT64_P_BOUND).
+    """
+    check_int64_bound(p)
+    return (q * np.arange(1, hp + 1, dtype=np.int64)) % p
+
+
 def coverage_depth(p: int, q: int, h: int, hp: int) -> np.ndarray:
     """Phi^k_{p,q}(h) for every k in [0, p), as an int64 numpy array.
 
@@ -121,12 +131,9 @@ def coverage_depth(p: int, q: int, h: int, hp: int) -> np.ndarray:
     counts towards Phi^k exactly when its window start [qj]_p lies in
     [k + 1, k + h], read cyclically.  With C(m) the number of j whose start
     is at most m, extended by C(m + p) = C(m) + hp, that makes
-    Phi^k = C(k + h) - C(k): one cumulative count in integer numpy ops,
-    exact while p^2 < 2^63 (checked against arith.INT64_P_BOUND).
+    Phi^k = C(k + h) - C(k): one cumulative count in integer numpy ops.
     """
-    check_int64_bound(p)
-    starts = (q * np.arange(1, hp + 1, dtype=np.int64)) % p
-    c = np.cumsum(np.bincount(starts, minlength=p))
+    c = np.cumsum(np.bincount(window_starts(p, q, hp), minlength=p))
     return np.concatenate((c[h:], c[:h] + hp)) - c
 
 
@@ -226,12 +233,19 @@ def unreduce(e, g: int) -> np.ndarray:
 
 def reduce_poly(coeffs, p: int) -> np.ndarray:
     """Sum a symmetric sequence x_0, x_{+-1}, x_{+-2}, ... over residue classes
-    mod p (inverse of unreduce): entry k is the sum of x_|j| over j = k mod p."""
+    mod p (inverse of unreduce): entry k is the sum of x_|j| over j = k mod p.
+
+    The two-sided sequence x_{1-n} .. x_{n-1} is laid out in a zero array of
+    whole periods, after `lead` zeros so that x_j sits at an index congruent
+    to j mod p; the column sums of its (-1, p) reshape are the class sums.
+    """
     x = np.asarray(coeffs, dtype=np.int64)
-    j = np.arange(1 - len(x), len(x), dtype=np.int64)
-    out = np.zeros(p, dtype=np.int64)
-    np.add.at(out, j % p, x[np.abs(j)])
-    return out
+    n = len(x)
+    lead = (1 - n) % p
+    full = np.zeros(-(-(lead + 2 * n) // p) * p, dtype=np.int64)
+    full[lead:lead + n - 1] = x[:0:-1]
+    full[lead + n - 1:lead + 2 * n - 1] = x
+    return full.reshape(-1, p).sum(axis=0)
 
 
 def torsion_from_poly(coeffs) -> np.ndarray:
@@ -255,9 +269,16 @@ def reduced_torsions(torsions, p: int) -> np.ndarray:
     return reduce_poly(torsions, p)
 
 
-def dd1(poly: SymmetricPoly) -> int:
-    """Second derivative at t=1: sum_i i^2 a_i = 2 sum_{i>=1} i^2 a_i."""
-    return 2 * sum(i * i * a for i, a in enumerate(poly.coeffs))
+def dd1(coeffs) -> int:
+    """Second derivative at t=1 from the coefficients a_0..a_g:
+    sum_i i^2 a_i = 2 sum_{i>=1} i^2 a_i, as one int64 product-sum.
+
+    Exact while the sum stays below 2^63, as it does for the alternating
+    coefficients (|a_i| <= 1) of any genus g < 2^19: then it is at most g^3.
+    """
+    a = np.asarray(coeffs, dtype=np.int64)
+    i = np.arange(len(a), dtype=np.int64)
+    return 2 * int((i * i) @ a)
 
 
 def delta_lift(poly: SymmetricPoly, p: int) -> SymmetricPoly:

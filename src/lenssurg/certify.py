@@ -264,7 +264,7 @@ def _certify_class(p, h, require_even_d=True, g=None):
 
     poly = SymmetricPoly(coeffs.tolist())
     lambda_pq, lambda_p1 = lambda_rustamov(p, qs), lambda_rustamov(p, 1)
-    if not euler_check(p, d, lambda_pq, lambda_p1, dd1(poly)):
+    if not euler_check(p, d, lambda_pq, lambda_p1, dd1(coeffs)):
         # implied by the per-i surgery formula; kept as an independent guard
         return Rejection(p, q_canon, h_canon, "correction-mismatch",
                          "Euler identity fails", derived_d=d)

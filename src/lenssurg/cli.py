@@ -182,7 +182,7 @@ def cmd_tables(args):
         fixture_rows = tables.load_fixture(args.verify)
     except (OSError, ValueError) as err:
         raise UsageError(f"cannot read table {args.verify!r}: {err}") from err
-    pmin = 2 if args.pmin is None else args.pmin
+    pmin = min((r[0] for r in fixture_rows), default=2) if args.pmin is None else args.pmin
     pmax = max((r[0] for r in fixture_rows), default=0) if args.pmax is None else args.pmax
     _slope_range(pmin, pmax)
     fixture_rows = [r for r in fixture_rows if pmin <= r[0] <= pmax]

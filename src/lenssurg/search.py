@@ -10,9 +10,13 @@ A candidate first passes a screen on alex.coverage_depth: the reduced
 coefficients -m + Phi^k can only support an alternating polynomial if
 every value lies in [-1, 2], the constant entry is +-1 and, when the genus
 g read off the vector has 2g < p (no index collisions), the entries
-a~_g .. a~_0 already alternate.  Survivors go through the full exact
-certification pipeline.  The screen is validated against the plain
-pipeline on small slopes in the test suite.
+a~_g .. a~_0 already alternate.  More than half of the candidates at
+p ~ 1000 and above fail on one count taken before the length-p depth is
+built: Phi^0, the number of window starts at most h, must lie in
+[m, m + 2], because Phi^{p-1} = Phi^0 - 1 and both lie in [m - 1, m + 2]
+(proof in _screen).  Survivors go through the full exact certification
+pipeline.  The screen is validated against the plain pipeline on small
+slopes in the test suite.
 """
 
 import warnings
@@ -22,7 +26,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .alex import coverage_depth, is_alternating, reduced_from_depth
+from .alex import coverage_depth, is_alternating, reduced_from_depth, window_starts
 from .certify import (
     Certificate,
     Rejection,
@@ -88,12 +92,24 @@ def _screen(p, h, hp):
     Works with the orbit member whose inverse is smallest (the reduced
     coefficient vector is an orbit invariant, and q = [h^2]_p moves with
     the member), so coverage_depth sums the fewest windows.
+
+    The range test first looks at one count: Phi^0, the number of window
+    starts [qj]_p (j in [1, hp]) in [1, h], that is, at most h.  The window
+    of k = p - 1 is [p, p - 1 + h], read cyclically {0} and [1, h - 1]: it
+    gains 0, which no start is, and loses h, which exactly one start is
+    (the starts are distinct, and [q*hp]_p = h since h*hp = 1 mod p).  So
+    Phi^{p-1} = Phi^0 - 1, both lie in [m - 1, m + 2] only if
+    m <= Phi^0 <= m + 2, and a candidate failing that is rejected, as the
+    full range test would reject it, before the length-p depth is built.
     """
     # swap to the representative with the cheaper window count
     if hp > h:
         h, hp = hp, h
     m = (h * hp - 1) // p
-    depth = coverage_depth(p, (h * h) % p, h, hp)
+    q = (h * h) % p
+    if not m <= np.count_nonzero(window_starts(p, q, hp) <= h) <= m + 2:
+        return False
+    depth = coverage_depth(p, q, h, hp)
     if not (m - 1 <= depth.min() and depth.max() <= m + 2):
         return False
     e = reduced_from_depth(depth, h, hp, p // 2 + 1)   # a~_0 .. a~_{p/2}

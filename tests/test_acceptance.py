@@ -147,12 +147,12 @@ def test_criterion_07_euler_identity(table1_run, table2_run):
     assert certs
     for cert in certs:
         lhs = cert.p * (Fraction(cert.d) + 2 * cert.lambda_pq - 2 * cert.lambda_p1)
-        assert lhs == dd1(cert.poly), cert.datum
+        assert lhs == dd1(cert.poly.coeffs), cert.datum
     # recompute the lambda values from scratch on all table rows
     for cert in certs:
         if cert.d == 2:
             assert euler_check(cert.p, cert.d, lambda_rustamov(cert.p, cert.q_square),
-                               lambda_rustamov(cert.p, 1), dd1(cert.poly))
+                               lambda_rustamov(cert.p, 1), dd1(cert.poly.coeffs))
     _announce(7, "Euler identity on all certificates")
 
 

@@ -3,6 +3,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lenssurg.alex import (
     SymmetricPoly,
@@ -197,13 +199,33 @@ def test_torsion_second_difference_duality():
         for i in range(1, poly.degree() + 2):
             assert poly.coeff(i) == t(i - 1) - 2 * t(i) + t(i + 1)
         total = t(0) + 2 * sum(ts[1:])
-        assert 2 * total == dd1(poly)
+        assert 2 * total == dd1(poly.coeffs)
 
 
 def test_dd1_examples():
-    assert dd1(DELTA_K2) == 16
-    assert dd1(ONE) == 0
-    assert dd1(TREFOIL) == 2
+    assert dd1(DELTA_K2.coeffs) == 16
+    assert dd1(ONE.coeffs) == 0
+    assert dd1(TREFOIL.coeffs) == 2
+
+
+_COEFFS = st.lists(st.integers(-10**6, 10**6), max_size=300)
+
+
+@given(_COEFFS, st.integers(1, 200))
+def test_reduce_poly_matches_add_at_oracle(coeffs, p):
+    # the scatter-add it replaced, over the two-sided sequence x_{1-n} .. x_{n-1}
+    x = np.array(coeffs, dtype=np.int64)
+    j = np.arange(1 - len(x), len(x), dtype=np.int64)
+    oracle = np.zeros(p, dtype=np.int64)
+    np.add.at(oracle, j % p, x[np.abs(j)])
+    out = reduce_poly(coeffs, p)
+    assert out.dtype == np.int64
+    assert out.tolist() == oracle.tolist()
+
+
+@given(_COEFFS)
+def test_dd1_matches_python_sum(coeffs):
+    assert dd1(coeffs) == 2 * sum(i * i * a for i, a in enumerate(coeffs))
 
 
 def test_delta_relation():

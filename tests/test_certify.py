@@ -134,7 +134,7 @@ def test_certificate_invariants():
 
         for i in range(1, cert.g + 2):
             assert cert.poly.coeff(i) == t(i - 1) - 2 * t(i) + t(i + 1)
-        assert 2 * (t(0) + 2 * sum(ts[1:])) == dd1(cert.poly)
+        assert 2 * (t(0) + 2 * sum(ts[1:])) == dd1(cert.poly.coeffs)
         # q is the square of some class representative, up to inversion
         squares = {h0 * h0 % p for h0 in h_class_set(p, cert.datum.h)}
         assert any(canonical_q(p, s) == cert.datum.q for s in squares)

@@ -137,6 +137,14 @@ def test_tables_verify_bundled_prefix(capsys):
     assert "verified: 18 rows" in out
 
 
+def test_tables_pmin_defaults_to_fixture_start(capsys):
+    # table 2 starts at p = 715; the d = 2 rows below it belong to table 1
+    code, out, _ = run(capsys, "tables", "--verify", "table2",
+                       "--pmax", "720", "--threads", "1")
+    assert code == 0
+    assert "p in [715, 720]" in out
+
+
 def test_group(capsys):
     code, out, _ = run(capsys, "group", "8", "1", "3")
     assert code == 0

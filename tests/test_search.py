@@ -1,9 +1,16 @@
 from collections import Counter
 from math import gcd
 
+import numpy as np
 import pytest
 
-from lenssurg.alex import genus_from_reduced, reduced_coeffs
+from lenssurg.alex import (
+    coverage_depth,
+    genus_from_reduced,
+    is_alternating,
+    reduced_coeffs,
+    reduced_from_depth,
+)
 from lenssurg.certify import Certificate, Rejection, _certify_class, certify, h_class_set
 from lenssurg.search import (
     _class_reps,
@@ -98,6 +105,47 @@ def test_screen_agrees_with_pipeline():
                 assert 2 * g >= p, (p, h, g)
                 passed_to_os_form += 1
     assert passed_to_os_form > 0   # the collision genera do reach the pipeline
+
+
+def _screen_member(h, hp):
+    """The orbit member _screen works with: the one with the smaller inverse."""
+    return (hp, h) if hp > h else (h, hp)
+
+
+def _full_range_screen(p, h, hp):
+    # the screen without the Phi^0 pre-check: value range over every k,
+    # a~_0 = +-1, and the alternating form below the collision genera
+    h, hp = _screen_member(h, hp)
+    m = (h * hp - 1) // p
+    depth = coverage_depth(p, (h * h) % p, h, hp)
+    if not (m - 1 <= depth.min() and depth.max() <= m + 2):
+        return False
+    e = reduced_from_depth(depth, h, hp, p // 2 + 1)
+    if abs(int(e[0])) != 1:
+        return False
+    g = int(np.flatnonzero(e)[-1])
+    return 2 * g >= p or is_alternating(e)
+
+
+def test_depth_drops_by_one_from_window_zero_to_the_last():
+    # Phi^{p-1} = Phi^0 - 1: the start [q*hp]_p = h leaves the window
+    for p in range(3, 400):
+        for h, hp, _, _ in _class_reps(p):
+            h, hp = _screen_member(h, hp)
+            depth = coverage_depth(p, (h * h) % p, h, hp)
+            assert depth[p - 1] == depth[0] - 1, (p, h)
+
+
+@pytest.mark.parametrize("slopes", [range(2, 400), range(1993, 2002)])
+def test_screen_precheck_keeps_every_answer(slopes):
+    rejected = total = 0
+    for p in slopes:
+        for h, hp, _, _ in _class_reps(p):
+            passed = _screen(p, h, hp)
+            assert passed == _full_range_screen(p, h, hp), (p, h)
+            rejected += not passed
+            total += 1
+    assert 0 < rejected < total
 
 
 def test_exhaustive_bulk_counts_match_bruteforce():
