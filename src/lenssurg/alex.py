@@ -2,8 +2,7 @@
 
 Covers the combinatorial count Phi, the reduced coefficients a~_i indexed by
 Z/p, recovery of the symmetric polynomial from its reduction (unreduce), the
-alternating-coefficient normal form, Turaev torsions, and the degree-shift
-relation linking the d=0 and d=2 polynomials over the same lens space.
+alternating-coefficient normal form, and Turaev torsions.
 
 Conventions: polynomials are normalized (Delta(1) = 1) and symmetrized
 (a_i = a_{-i}); m in the reduced-coefficient formula is (h*h' - 1)/p with
@@ -13,11 +12,11 @@ The certification stages (coverage_depth, reduced_coeffs, unreduce,
 reduce_poly, torsion_from_poly, reduced_torsions, dd1) take and return int64
 numpy arrays: a reduced vector a~_0..a~_{p-1}, coefficients a_0..a_g and
 torsions t_0..t_{g-1} (dd1 returns a Python int).  They are exact for p
-below arith.INT64_P_BOUND.  SymmetricPoly is the tuple-valued form of the
-polynomial stored in a certificate.
+below arith.INT64_P_BOUND.  is_alternating and os_form_check take any
+coefficient sequence a_0..a_g, an array or the tuple of Python ints that a
+certificate stores.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -26,7 +25,6 @@ from .arith import check_int64_bound, mod_inverse
 from .dinv import spin_c_c
 
 __all__ = [
-    "SymmetricPoly",
     "UnreduceError",
     "phi",
     "window_starts",
@@ -42,60 +40,11 @@ __all__ = [
     "torsion_from_poly",
     "reduced_torsions",
     "dd1",
-    "delta_lift",
 ]
 
 
 class UnreduceError(ValueError):
     """The reduced vector does not come from a valid symmetric polynomial."""
-
-
-@dataclass(frozen=True)
-class SymmetricPoly:
-    """Integer symmetric Laurent polynomial, stored as coefficients a_0..a_g.
-
-    a_{-i} = a_i is implicit.  degree() is the top index with a nonzero
-    coefficient (0 for the constant polynomial).
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        c = tuple(map(int, self.coeffs))
-        if not c:
-            raise ValueError("empty coefficient list")
-        if len(c) > 1 and c[-1] == 0:
-            raise ValueError("top coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", c)
-
-    def coeff(self, i: int) -> int:
-        i = abs(i)
-        return self.coeffs[i] if i < len(self.coeffs) else 0
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __str__(self):
-        terms = []
-        for i in range(-self.degree(), self.degree() + 1):
-            a = self.coeff(i)
-            if a == 0:
-                continue
-            sign = "-" if a < 0 else "+"
-            mag = abs(a)
-            if i == 0:
-                body = str(mag)
-            else:
-                t = "t" if i == 1 else f"t^{i}"
-                body = t if mag == 1 else f"{mag}*{t}"
-            terms.append((sign, body))
-        if not terms:
-            return "0"
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
 
 
 def phi(p: int, q: int, h: int, k: int) -> int:
@@ -177,16 +126,17 @@ def is_alternating(coeffs) -> bool:
     return bool(np.array_equal(nonzero, 1 - 2 * (np.arange(nonzero.size) & 1)))
 
 
-def os_form_check(poly: SymmetricPoly):
+def os_form_check(coeffs):
     """Decompose Delta = (-1)^k + sum_j (-1)^{k-j} (t^{n_j} + t^{-n_j}).
 
-    Returns (k, (n_1, ..., n_k)) when the nonzero coefficients, read from the
-    top degree down to the constant term, are exactly +1, -1, +1, ... with the
-    constant term included; returns None otherwise.
+    Takes the coefficients a_0..a_g.  Returns (k, (n_1, ..., n_k)) when the
+    nonzero coefficients, read from the top degree down to the constant term,
+    are exactly +1, -1, +1, ... with the constant term included; returns None
+    otherwise.
     """
-    if not is_alternating(poly.coeffs):
+    if not is_alternating(coeffs):
         return None
-    ns = tuple(i for i, a in enumerate(poly.coeffs[1:], 1) if a)
+    ns = tuple(i for i, a in enumerate(coeffs[1:], 1) if a)
     return len(ns), ns
 
 
@@ -279,22 +229,3 @@ def dd1(coeffs) -> int:
     a = np.asarray(coeffs, dtype=np.int64)
     i = np.arange(len(a), dtype=np.int64)
     return 2 * int((i * i) @ a)
-
-
-def delta_lift(poly: SymmetricPoly, p: int) -> SymmetricPoly:
-    """Apply the degree shift: subtract t^{+-(p-1)/2}, add t^{+-(p+1)/2}.
-
-    certify.lift_to_d2 gets the same polynomial from unreduce at genus
-    (p+1)/2; the tests check the two against each other.
-    """
-    if p % 2 == 0:
-        raise ValueError("the degree-shift relation needs odd p")
-    top = (p + 1) // 2
-    if poly.degree() >= top:
-        raise ValueError(f"degree {poly.degree()} too large for the shift at p={p}")
-    coeffs = [poly.coeff(i) for i in range(top + 1)]
-    coeffs[top - 1] -= 1
-    coeffs[top] += 1
-    if coeffs[top] == 0:
-        raise ValueError("degree shift cancels the top coefficient")
-    return SymmetricPoly(tuple(coeffs))

@@ -25,8 +25,9 @@ D_0 is the derived d (scaled by 4p), and the formula holds at all i exactly
 when every D_i equals D_0.  The stages run on the int64 arrays of the alex
 module (reduced vector, coefficients, torsions and their class sums); the
 bound arith.INT64_P_BOUND keeps them exact.  The certificate stores the
-reduced vector as a tuple and the polynomial as a SymmetricPoly, both built
-only for a certificate, never for a rejection.
+reduced vector, the coefficients a_0..a_g of the polynomial and the
+torsions as tuples of Python ints, built only for a certificate, never for
+a rejection.
 """
 
 from dataclasses import dataclass, replace
@@ -36,7 +37,6 @@ from math import gcd
 import numpy as np
 
 from .alex import (
-    SymmetricPoly,
     UnreduceError,
     dd1,
     genus_from_reduced,
@@ -93,7 +93,7 @@ class Certificate:
     datum: SurgeryDatum
     q_square: int                   # representative with q_square = h^2 mod p
     reduced: tuple                  # a~_0 .. a~_{p-1}
-    poly: SymmetricPoly
+    poly: tuple                     # a_0 .. a_g
     torsions: tuple                 # t_0 .. t_{g-1}
     lambda_pq: Fraction
     lambda_p1: Fraction
@@ -262,7 +262,6 @@ def _certify_class(p, h, require_even_d=True, g=None):
             return Rejection(p, q_canon, h_canon, "bound-violation",
                              f"(g, d, p) = ({g}, {d}, {p})", derived_d=d)
 
-    poly = SymmetricPoly(coeffs.tolist())
     lambda_pq, lambda_p1 = lambda_rustamov(p, qs), lambda_rustamov(p, 1)
     if not euler_check(p, d, lambda_pq, lambda_p1, dd1(coeffs)):
         # implied by the per-i surgery formula; kept as an independent guard
@@ -284,7 +283,7 @@ def _certify_class(p, h, require_even_d=True, g=None):
         datum=datum,
         q_square=qs,
         reduced=tuple(e.tolist()),
-        poly=poly,
+        poly=tuple(coeffs.tolist()),
         torsions=tuple(torsions.tolist()),
         lambda_pq=lambda_pq,
         lambda_p1=lambda_p1,
@@ -323,7 +322,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "d": cert.d,
         "g": cert.g,
         "q_square": cert.q_square,
-        "coefficients": list(cert.poly.coeffs),
+        "coefficients": list(cert.poly),
         "reduced": list(cert.reduced),
         "torsions": list(cert.torsions),
         "lambda_pq": [cert.lambda_pq.numerator, cert.lambda_pq.denominator],
@@ -334,14 +333,23 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> Certificate:
+    """Inverse of certificate_to_json; ValueError on a malformed polynomial
+    or reduced vector."""
     if len(doc["reduced"]) != doc["p"]:
         raise ValueError("reduced vector length must equal the modulus p")
+    poly = tuple(doc["coefficients"])
+    if not poly:
+        raise ValueError("empty coefficient list")
+    if not all(type(a) is int for a in poly):
+        raise ValueError("coefficients must be integers")
+    if len(poly) > 1 and poly[-1] == 0:
+        raise ValueError("top coefficient must be nonzero")
     datum = SurgeryDatum(p=doc["p"], q=doc["q"], h=doc["h"], d=doc["d"], g=doc["g"])
     return Certificate(
         datum=datum,
         q_square=doc["q_square"],
         reduced=tuple(doc["reduced"]),
-        poly=SymmetricPoly(tuple(doc["coefficients"])),
+        poly=poly,
         torsions=tuple(doc["torsions"]),
         lambda_pq=Fraction(*doc["lambda_pq"]),
         lambda_p1=Fraction(*doc["lambda_p1"]),

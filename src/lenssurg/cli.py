@@ -72,6 +72,20 @@ def _write_out(text, path):
         sys.stdout.write(text)
 
 
+def _laurent(coeffs):
+    """The symmetric polynomial with coefficients a_0..a_g, from t^-g up to
+    t^g.  Certified coefficients are in the alternating form: 0 or +-1, with
+    +1 on top, so each term is a sign and a power of t, and the first sign
+    is dropped."""
+    g = len(coeffs) - 1
+    words = []
+    for i in range(-g, g + 1):
+        a = coeffs[abs(i)]
+        if a:
+            words += ["-" if a < 0 else "+", "1" if i == 0 else "t" if i == 1 else f"t^{i}"]
+    return " ".join(words[1:])
+
+
 def cmd_dinv(args):
     p = _slope(args.p)
     if p == 1:
@@ -100,7 +114,7 @@ def cmd_alex(args):
     result = certify(p, args.q, args.h, require_even_d=not args.allow_odd_d)
     if isinstance(result, Certificate):
         print("genus:", result.g)
-        print("polynomial:", result.poly)
+        print("polynomial:", _laurent(result.poly))
         print("torsions:", " ".join(str(t) for t in result.torsions) or "0")
         return 0
     print(f"rejected at stage: {result.stage} ({result.detail})")
@@ -132,7 +146,7 @@ def cmd_certify(args):
         else:
             d = result.datum
             print(f"p={d.p} q={d.q} h={d.h} d={d.d} g={d.g}")
-            print("polynomial:", result.poly)
+            print("polynomial:", _laurent(result.poly))
             print("torsions:", " ".join(str(t) for t in result.torsions) or "0")
             print("lambda(L(p,q)) =", result.lambda_pq,
                   " lambda(L(p,1)) =", result.lambda_p1)

@@ -29,7 +29,6 @@ from .dinv import spin_c_c
 
 __all__ = [
     "GroupPresentation",
-    "BINARY_ICOSAHEDRAL",
     "build_presentation",
     "todd_coxeter",
     "abelianization_order",
@@ -51,12 +50,6 @@ class GroupPresentation:
 
     def __str__(self):
         return "\n".join("".join(_LETTERS[x] for x in word) for word in self.relators)
-
-
-BINARY_ICOSAHEDRAL = GroupPresentation((
-    (1, 2, 1, 2, -1, -1, -1),            # (xy)^2 x^-3
-    (1, 1, 1, -2, -2, -2, -2, -2),       # x^3 y^-5
-))
 
 
 def build_presentation(cert) -> GroupPresentation:

@@ -1,36 +1,37 @@
 """Frozen reference data and small oracles shared by the test modules.
 
-Polynomials are stored as upper-half coefficient tuples (a_0, ..., a_g);
-they are the classification polynomials for the small sporadic surgeries,
-entered by hand with the two misprinted tails symmetrized.
+Polynomials are stored as upper-half coefficient tuples (a_0, ..., a_g), the
+form of Certificate.poly; they are the classification polynomials for the
+small sporadic surgeries, entered by hand with the two misprinted tails
+symmetrized.
 """
 
 from fractions import Fraction
 
-from lenssurg.alex import SymmetricPoly
 from lenssurg.dinv import spin_c_c
+from lenssurg.fgroup import GroupPresentation
 
-TREFOIL = SymmetricPoly((-1, 1))
+TREFOIL = (-1, 1)
 
 # genus 4, the L(8,1) / L(7,2)-with-d=2 polynomial
-DELTA_K2 = SymmetricPoly((-1, 1, 0, -1, 1))
+DELTA_K2 = (-1, 1, 0, -1, 1)
 
 DELTA_K3_D0 = TREFOIL
 DELTA_K3_D2 = DELTA_K2
 
 # L(11,3)
-DELTA_K4_D0 = SymmetricPoly((1, -1, 1))
-DELTA_K4_D2 = SymmetricPoly((1, -1, 1, 0, 0, -1, 1))
+DELTA_K4_D0 = (1, -1, 1)
+DELTA_K4_D2 = (1, -1, 1, 0, 0, -1, 1)
 
 # L(13,3)
-DELTA_K5_D0 = SymmetricPoly((1, 0, -1, 1))
-DELTA_K5_D2 = SymmetricPoly((1, 0, -1, 1, 0, 0, -1, 1))
+DELTA_K5_D0 = (1, 0, -1, 1)
+DELTA_K5_D2 = (1, 0, -1, 1, 0, 0, -1, 1)
 
 # genus 11, the L(22,3) polynomial
-DELTA_K6 = SymmetricPoly((-1, 0, 1, 0, 0, -1, 1, 0, 0, 0, -1, 1))
+DELTA_K6 = (-1, 0, 1, 0, 0, -1, 1, 0, 0, 0, -1, 1)
 
 
-def delta_k1(p: int) -> SymmetricPoly:
+def delta_k1(p: int) -> tuple:
     """The L(p,1), h=1, d=2 polynomial for odd p: 1 - t^{+-(p-1)/2} + t^{+-(p+1)/2}."""
     if p % 2 == 0:
         raise ValueError("p must be odd")
@@ -39,7 +40,27 @@ def delta_k1(p: int) -> SymmetricPoly:
     coeffs[0] = 1
     coeffs[g - 1] = -1
     coeffs[g] = 1
-    return SymmetricPoly(tuple(coeffs))
+    return tuple(coeffs)
+
+
+def delta_lift(coeffs: tuple, p: int) -> tuple:
+    """Oracle: the degree shift, subtract t^{+-(p-1)/2} and add t^{+-(p+1)/2}.
+
+    certify.lift_to_d2 gets the same polynomial from unreduce at genus
+    (p+1)/2; the tests check the two against each other.
+    """
+    if p % 2 == 0:
+        raise ValueError("the degree-shift relation needs odd p")
+    top = (p + 1) // 2
+    degree = len(coeffs) - 1
+    if degree >= top:
+        raise ValueError(f"degree {degree} too large for the shift at p={p}")
+    coeffs = list(coeffs) + [0] * (top - degree)
+    coeffs[top - 1] -= 1
+    coeffs[top] += 1
+    if coeffs[top] == 0:
+        raise ValueError("degree shift cancels the top coefficient")
+    return tuple(coeffs)
 
 
 def d_lens_p1(p: int, i: int) -> Fraction:
@@ -52,3 +73,10 @@ def d_lens_p1(p: int, i: int) -> Fraction:
 def spin_c_Q(h: int, p: int, i: int) -> int:
     """Oracle: the Spin^c relabeling Q(i) = [h*i + c]_p."""
     return (h * i + spin_c_c(h, p)) % p
+
+
+# the binary icosahedral group <x, y | (xy)^2 = x^3 = y^5>, of order 120
+BINARY_ICOSAHEDRAL = GroupPresentation((
+    (1, 2, 1, 2, -1, -1, -1),            # (xy)^2 x^-3
+    (1, 1, 1, -2, -2, -2, -2, -2),       # x^3 y^-5
+))

@@ -12,16 +12,11 @@ from math import gcd
 
 import pytest
 
-from lenssurg.alex import dd1, delta_lift, reduce_poly
+from lenssurg.alex import dd1, reduce_poly
 from lenssurg.casson import euler_check, lambda_dedekind, lambda_rustamov, ras_verify
 from lenssurg.certify import Certificate, certify, lift_to_d2
 from lenssurg.dinv import d_lens
-from lenssurg.fgroup import (
-    BINARY_ICOSAHEDRAL,
-    abelianization_order,
-    build_presentation,
-    todd_coxeter,
-)
+from lenssurg.fgroup import abelianization_order, build_presentation, todd_coxeter
 from lenssurg.search import (
     FULL_COVERAGE_LRANGE,
     enumerate_search,
@@ -30,6 +25,7 @@ from lenssurg.search import (
 )
 from lenssurg.tables import fixture_text, load_fixture
 from golden import (
+    BINARY_ICOSAHEDRAL,
     DELTA_K2,
     DELTA_K3_D0,
     DELTA_K3_D2,
@@ -40,6 +36,7 @@ from golden import (
     DELTA_K6,
     d_lens_p1,
     delta_k1,
+    delta_lift,
     spin_c_Q,
 )
 
@@ -107,7 +104,7 @@ def test_criterion_04_sporadic_classification():
         lifted = lift_to_d2(cert)
         assert lifted.d == 2 and lifted.poly == d2_poly
         assert delta_lift(cert.poly, p) == lifted.poly
-        assert tuple(reduce_poly(d2_poly.coeffs, p).tolist()) == cert.reduced
+        assert tuple(reduce_poly(d2_poly, p).tolist()) == cert.reduced
 
     # the L(p,1), h = 1 family for odd p, with the degree-shift relation
     for p in (5, 9, 11, 15, 21, 33):
@@ -147,12 +144,12 @@ def test_criterion_07_euler_identity(table1_run, table2_run):
     assert certs
     for cert in certs:
         lhs = cert.p * (Fraction(cert.d) + 2 * cert.lambda_pq - 2 * cert.lambda_p1)
-        assert lhs == dd1(cert.poly.coeffs), cert.datum
+        assert lhs == dd1(cert.poly), cert.datum
     # recompute the lambda values from scratch on all table rows
     for cert in certs:
         if cert.d == 2:
             assert euler_check(cert.p, cert.d, lambda_rustamov(cert.p, cert.q_square),
-                               lambda_rustamov(cert.p, 1), dd1(cert.poly.coeffs))
+                               lambda_rustamov(cert.p, 1), dd1(cert.poly))
     _announce(7, "Euler identity on all certificates")
 
 

@@ -42,12 +42,12 @@ def test_lambda_homeomorphism_invariance():
 def test_euler_identity_examples():
     # q = 1 makes the lambda terms cancel: 8 * 2 = Delta''(1) = 16
     lam8, lam17 = lambda_rustamov(8, 1), lambda_rustamov(17, 1)
-    assert euler_check(8, 2, lam8, lam8, dd1(DELTA_K2.coeffs))
+    assert euler_check(8, 2, lam8, lam8, dd1(DELTA_K2))
     assert euler_check(17, 0, lam17, lam17, 0)   # unknot datum
-    assert dd1(DELTA_K6.coeffs) == 72        # hand evaluation of 2*sum i^2 a_i
+    assert dd1(DELTA_K6) == 72        # hand evaluation of 2*sum i^2 a_i
     assert euler_check(22, 2, lambda_rustamov(22, 3), lambda_rustamov(22, 1),
-                       dd1(DELTA_K6.coeffs))
-    assert not euler_check(8, 0, lam8, lam8, dd1(DELTA_K2.coeffs))
+                       dd1(DELTA_K6))
+    assert not euler_check(8, 0, lam8, lam8, dd1(DELTA_K2))
 
 
 def test_ras_verify_small():

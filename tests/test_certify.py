@@ -9,7 +9,6 @@ import pytest
 import lenssurg.certify as mod
 from lenssurg.alex import (
     dd1,
-    delta_lift,
     genus_from_reduced,
     os_form_check,
     reduce_poly,
@@ -45,6 +44,7 @@ from golden import (
     TREFOIL,
     d_lens_p1,
     delta_k1,
+    delta_lift,
 )
 
 
@@ -93,7 +93,7 @@ def test_certify_unknot_rows():
         cert = certify(p, 1, 1)
         assert isinstance(cert, Certificate), p
         assert (cert.d, cert.g) == (0, 0)
-        assert cert.poly.coeffs == (1,)
+        assert cert.poly == (1,)
 
 
 def test_certify_rejections():
@@ -132,14 +132,15 @@ def test_certificate_invariants():
             i = abs(i)
             return ts[i] if i < len(ts) else 0
 
+        padded = cert.poly + (0,)
         for i in range(1, cert.g + 2):
-            assert cert.poly.coeff(i) == t(i - 1) - 2 * t(i) + t(i + 1)
-        assert 2 * (t(0) + 2 * sum(ts[1:])) == dd1(cert.poly.coeffs)
+            assert padded[i] == t(i - 1) - 2 * t(i) + t(i + 1)
+        assert 2 * (t(0) + 2 * sum(ts[1:])) == dd1(cert.poly)
         # q is the square of some class representative, up to inversion
         squares = {h0 * h0 % p for h0 in h_class_set(p, cert.datum.h)}
         assert any(canonical_q(p, s) == cert.datum.q for s in squares)
         assert cert.q_square == cert.datum.h ** 2 % p
-        assert tuple(reduce_poly(cert.poly.coeffs, p).tolist()) == cert.reduced
+        assert tuple(reduce_poly(cert.poly, p).tolist()) == cert.reduced
 
 
 def test_incompatible_pairs_never_certify(monkeypatch):
@@ -256,6 +257,20 @@ def test_certificate_from_json_rejects_a_short_reduced_vector():
         certificate_from_json(doc)
 
 
+@pytest.mark.parametrize("coefficients", [
+    [],             # empty
+    [-1, 1, 0],     # zero top coefficient
+    [-1.0, 1],      # float entry
+    [-1, "1"],      # string entry
+])
+def test_certificate_from_json_rejects_a_malformed_polynomial(coefficients):
+    doc = certificate_to_json(certify(7, 2, 2))
+    assert doc["coefficients"] == [-1, 1]
+    doc["coefficients"] = coefficients
+    with pytest.raises(ValueError):
+        certificate_from_json(doc)
+
+
 def test_os_form_of_every_certificate():
     for p, q, h in [(8, 1, 3), (22, 3, 5), (38, 7, 7), (7, 2, 2)]:
         cert = certify(p, q, h)
@@ -274,6 +289,18 @@ GOLDEN_CERTS = Path(__file__).parent / "golden_certs"
 def test_certify_json_golden(argv, capsys):
     assert main(["certify", *map(str, argv), "--json"]) == 0
     golden = GOLDEN_CERTS / f"certify_{'_'.join(map(str, argv))}.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", 8, 1, 3),
+    ("certify", 4, 1, 1),       # the constant polynomial 1
+    ("alex", 22, 3, 5),
+    ("certify", 1993, 312, 312),
+])
+def test_cli_text_golden(argv, capsys):
+    assert main(list(map(str, argv))) == 0
+    golden = GOLDEN_CERTS / f"{'_'.join(map(str, argv))}.txt"
     assert capsys.readouterr().out == golden.read_text()
 
 
@@ -314,7 +341,8 @@ def test_no_numpy_scalars_leak(monkeypatch):
         assert _plain(obj), obj
     for cert in rep.certificates + lifts:
         assert type(cert.d) is int and type(cert.g) is int
-        json.dumps(certificate_to_json(cert))   # no default= needed
+        text = json.dumps(certificate_to_json(cert))   # no default= needed
+        assert certificate_from_json(json.loads(text)) == cert
     for r in bound_violations:
         assert type(r.derived_d) is int
     counts = list(rep.rejections.values()) + list(rep.d_histogram.items())

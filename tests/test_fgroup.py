@@ -8,7 +8,6 @@ from lenssurg.certify import certify, canonical_h
 from lenssurg.fgroup import (
     _LETTERS,
     _NIELSEN_MOVES,
-    BINARY_ICOSAHEDRAL,
     GroupPresentation,
     _nielsen,
     _reduce,
@@ -19,6 +18,7 @@ from lenssurg.fgroup import (
     build_presentation,
     todd_coxeter,
 )
+from golden import BINARY_ICOSAHEDRAL
 
 
 def test_reference_presentation():

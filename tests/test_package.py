@@ -23,6 +23,7 @@ def test_all_names_resolve(name):
     ("arith", "reduce_mod"), ("arith", "Fraction"), ("arith", "gcd"),
     ("dinv", "d_lens_p1"), ("dinv", "spin_c_Q"),
     ("certify", "derive_d"), ("alex", "delta_relation_check"), ("alex", "ReducedVector"),
+    ("alex", "SymmetricPoly"), ("alex", "delta_lift"), ("fgroup", "BINARY_ICOSAHEDRAL"),
 ])
 def test_test_only_helpers_are_not_exported(module, name):
     # test oracles (tests/golden.py, tests/test_arith.py), not package API
