@@ -4,9 +4,9 @@ Subcommands cover every pipeline: correction terms, reduced coefficients,
 Casson-Walker values, certification, the slope search, parametric families,
 golden-table verification, fundamental groups, plot data, and the lambda
 threshold sweep.  Exit status: 0 success/verified, 1 mismatch/rejection,
-2 usage error.  User input is validated up front, including slopes against
-the int64 exactness bound p < 2**19; any other exception is an internal
-fault and surfaces with its traceback (exit 1).
+2 usage error, 141 stdout closed early.  User input is validated up front,
+including slopes against the int64 exactness bound p < 2**19; any other
+exception is an internal fault and surfaces with its traceback (exit 1).
 """
 
 import argparse
@@ -23,6 +23,7 @@ from .dinv import d_lens
 from .fgroup import abelianization_order, build_presentation, todd_coxeter
 
 USAGE_ERROR = 2
+CLOSED_PIPE = 141   # 128 + SIGPIPE: what a shell reports for a writer a closed pipe ended
 
 
 class UsageError(Exception):
@@ -334,10 +335,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+        return status
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:   # the reader of stdout is gone (`| head`)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ shortens the copy, and only then are all eight tried again.  For the datum
 all eight are tried once for that run, not once for each of its steps.  A
 move is tried without being applied: its change in length is read off the
 counts of letters and of two-letter pairs in the cyclic words, and only the
-move taken rewrites them.
+move taken rewrites them.  Substitutions are searched in one pass over the
+rotations of each relator.
 
 Words are sequences of nonzero ints: +1/-1 for the first generator and
 its inverse, +2/-2 for the second.  Printed form uses a/A/b/B.
@@ -129,37 +130,55 @@ def _inverse(word):
 def _substitute(words):
     """The substitution of one relator into another that shortens the most.
 
-    If u v is a cyclic conjugate of a relator or of its inverse, then
+    If u v is a cyclic conjugate of a relator r or of its inverse, then
     u = v^-1 in the group, so an occurrence of u in another relator w, read
-    cyclically, may be replaced by v^-1 (a Tietze transformation).  That
-    shortens w whenever u is longer than v.  Returns (total length, words)
-    after the best such substitution, or None if there is none.
+    cyclically, may be replaced by v^-1 (a Tietze transformation).  Returns
+    (total length, words) after the best one, the first of equal ones, or
+    None if none shortens.  The words must be cyclically reduced.  At
+    rotation k of r (then of r^-1), u is the longest prefix in the cyclic w,
+    capped at c = min(|r|, |w|); it counts if longer than |r|/2.  One pass
+    finds them all:
+    1. |u| = L(k) >= L(k-1) - 1, as u(k-1) minus its first letter starts
+       rotation k; so the search starts at L(k-1) - 1, one letter more first.
+    2. Rotations are slices of rr = r r; u first occurs in hay = w w at a < |w|.
+    3. With x the rest of the cyclic w, the new word v^-1 x has |v| + |x|
+       letters unless some cancel.  If L < c, v and x are reduced and
+       v[0] != x[0] (else u v[0] would occur), so only the seam can cancel,
+       if v and x end alike.  For k, a > 0 that letter and u then occur at
+       a - 1, so L(k-1) = L + 1, a(k-1) = a - 1, and v^-1 x is rotation
+       k-1's word conjugated by the letter, no shorter than the best so far.
+       So the word is built and reduced only if |v| + |x| beats the best,
+       or if L = c, k = 0 or a = 0.
     """
     total = sum(map(len, words))
-    best = None
+    best, least = None, total
     for i, w in enumerate(words):
-        hay = w + w
+        hay, m = w + w, len(w)
         for j, r in enumerate(words):
             n = len(r)
-            if i == j or n // 2 + 1 > min(n, len(w)):
+            low, c = n // 2 + 1, min(n, m)
+            if i == j or low > c:
                 continue
-            for rr in (r, _inverse(r)):
+            for rr in (r + r, _inverse(r + r)):
+                L = 0
                 for k in range(n):
-                    c = rr[k:] + rr[:k]
-                    lo, hi = n // 2 + 1, min(n, len(w))
-                    if c[:lo] not in hay:
+                    if L <= low and rr[k:k + low] not in hay:
                         continue
-                    while lo < hi:   # the longest prefix of c in the cyclic w
-                        mid = (lo + hi + 1) // 2
-                        if c[:mid] in hay:
+                    lo, hi = max(L - 1, low), c
+                    mid = lo + 1
+                    while lo < hi:   # the longest prefix of rotation k in hay
+                        if rr[k:k + mid] in hay:
                             lo = mid
                         else:
                             hi = mid - 1
-                    at = hay.find(c[:lo])
-                    new = _reduce(_inverse(c[lo:]) + hay[at + lo:at + len(w)])
-                    length = total - len(w) + len(new)
-                    if length < (best[0] if best else total):
-                        best = (length, words[:i] + [new] + words[i + 1:])
+                        mid = (lo + hi + 1) // 2
+                    L, u = lo, rr[k:k + lo]
+                    if total + n - 2 * L < least or L == c or k == 0 or hay.startswith(u):
+                        at = hay.find(u)
+                        new = _reduce(_inverse(rr[k + L:k + n]) + hay[at + L:at + m])
+                        if total - m + len(new) < least:
+                            least = total - m + len(new)
+                            best = (least, words[:i] + [new] + words[i + 1:])
     return best
 
 

@@ -9,7 +9,7 @@ symmetrized.
 from fractions import Fraction
 
 from lenssurg.dinv import spin_c_c
-from lenssurg.fgroup import GroupPresentation
+from lenssurg.fgroup import GroupPresentation, _inverse, _reduce
 
 TREFOIL = (-1, 1)
 
@@ -80,3 +80,40 @@ BINARY_ICOSAHEDRAL = GroupPresentation((
     (1, 2, 1, 2, -1, -1, -1),            # (xy)^2 x^-3
     (1, 1, 1, -2, -2, -2, -2, -2),       # x^3 y^-5
 ))
+
+
+def substitute_oracle(words):
+    """Oracle: fgroup._substitute as it re-sliced every cyclic conjugate.
+
+    If u v is a cyclic conjugate of a relator or of its inverse, then
+    u = v^-1 in the group, so an occurrence of u in another relator w, read
+    cyclically, may be replaced by v^-1 (a Tietze transformation).  That
+    shortens w whenever u is longer than v.  Returns (total length, words)
+    after the best such substitution, or None if there is none.
+    """
+    total = sum(map(len, words))
+    best = None
+    for i, w in enumerate(words):
+        hay = w + w
+        for j, r in enumerate(words):
+            n = len(r)
+            if i == j or n // 2 + 1 > min(n, len(w)):
+                continue
+            for rr in (r, _inverse(r)):
+                for k in range(n):
+                    c = rr[k:] + rr[:k]
+                    lo, hi = n // 2 + 1, min(n, len(w))
+                    if c[:lo] not in hay:
+                        continue
+                    while lo < hi:   # the longest prefix of c in the cyclic w
+                        mid = (lo + hi + 1) // 2
+                        if c[:mid] in hay:
+                            lo = mid
+                        else:
+                            hi = mid - 1
+                    at = hay.find(c[:lo])
+                    new = _reduce(_inverse(c[lo:]) + hay[at + lo:at + len(w)])
+                    length = total - len(w) + len(new)
+                    if length < (best[0] if best else total):
+                        best = (length, words[:i] + [new] + words[i + 1:])
+    return best

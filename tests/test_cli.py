@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from lenssurg.certify import certificate_from_json, certify
-from lenssurg.cli import main
+from lenssurg.cli import CLOSED_PIPE, main
 
 
 def run(capsys, *argv):
@@ -230,3 +233,17 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(search, "enumerate_search", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["search", "--pmax", "10", "--threads", "1"])
+
+
+def test_closed_stdout_exits_quietly():
+    # like `lenssurg dinv 9973 1 | head -1`: the 179 kB of output cannot all
+    # sit in the pipe, so the writer meets the closed read end
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "lenssurg", "dinv", "9973", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"0 2493\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == CLOSED_PIPE
+    assert "Traceback" not in stderr and "Error" not in stderr, stderr

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lenssurg.certify import certify, canonical_h
+from lenssurg import fgroup
 from lenssurg.fgroup import (
     _LETTERS,
     _NIELSEN_MOVES,
@@ -18,7 +19,7 @@ from lenssurg.fgroup import (
     build_presentation,
     todd_coxeter,
 )
-from golden import BINARY_ICOSAHEDRAL
+from golden import BINARY_ICOSAHEDRAL, substitute_oracle
 
 
 def test_reference_presentation():
@@ -243,3 +244,53 @@ def test_substitute_examples():
     assert _substitute(["BAA", "ab"]) == (3, ["A", "ab"])
     # no piece longer than half of either relator occurs in the other
     assert _substitute(["aabb", "abab"]) is None
+    # the whole relator bb matches (an empty replacement); the rest, Aba,
+    # then cancels across the seam down to b
+    assert _substitute(["abbAb", "bb"]) == substitute_oracle(["abbAb", "bb"]) == (3, ["b", "bb"])
+    # the match aab covers the whole of w = aab, which becomes A (5 letters
+    # in all); substituting aab into aaba is found later and is shorter
+    assert _substitute(["aab", "aaba"]) == substitute_oracle(["aab", "aaba"]) == (4, ["aab", "a"])
+    # Ba starts Baa, the inverse of AAb, so Ba = A and BaBa becomes ABa,
+    # which cancels across the seam to B
+    assert _substitute(["BaBa", "AAb"]) == substitute_oracle(["BaBa", "AAb"]) == (4, ["B", "AAb"])
+    # B in BabA leaves abA = b, b leaves ABa = B: both 2 letters, the first wins
+    assert _substitute(["BabA", "B"]) == substitute_oracle(["BabA", "B"]) == (2, ["b", "B"])
+
+
+def test_substitute_matches_the_oracle_on_fixture_inputs(monkeypatch):
+    # every input that _simplify hands to _substitute on the 190 fixture rows
+    from lenssurg.tables import load_fixture
+
+    inputs = []
+
+    def record(words):
+        inputs.append(list(words))
+        return _substitute(words)
+
+    monkeypatch.setattr(fgroup, "_substitute", record)
+    for p, q, h, _ in load_fixture("table1") + load_fixture("table2"):
+        fgroup._simplify(build_presentation(certify(p, q, h)))
+    assert len(inputs) > 1000
+    for words in inputs:
+        assert _substitute(words) == substitute_oracle(words), words
+
+
+def test_substitute_matches_the_oracle_on_random_words():
+    # periodic words u^k v make many rotations match, with long strips
+    rng = random.Random(12)
+
+    def word(n, letters=(1, -1, 2, -2)):
+        return _letters(_cyclically_reduced([rng.choice(letters) for _ in range(n)]))
+
+    for trial in range(4000):
+        if trial % 4 == 0:
+            words = [word(rng.randrange(1, 30)) for _ in range(rng.choice((2, 3)))]
+        elif trial % 4 == 1:
+            words = [word(rng.randrange(1, 30), (1, 2)) for _ in range(2)]
+        else:
+            u = word(rng.randrange(1, 6))
+            words = [_reduce(u * rng.randrange(1, 12) + word(rng.randrange(5)))
+                     for _ in range(2)]
+            if trial % 4 == 3:
+                words[1] = _reduce(words[1][::-1].swapcase() + word(rng.randrange(3)))
+        assert _substitute(words) == substitute_oracle(words), words
