@@ -12,8 +12,9 @@ General (p,q) values come from the Euclidean recursion of Ozsvath-Szabo
     N(p, q, i) = ((2i + 1 - p - q)^2 - pq - p * N(q, p mod q, i mod q)) / q
 
 with base case N(1, 0, 0) = 0, indices always reduced into [0, modulus).
-d_vector evaluates one level as int64 numpy operations with a single
-np.divmod; the division is exact, and a remainder raises ArithmeticError.
+d_vector evaluates one level as int64 numpy operations over one arange i,
+reading the lower level at i mod q, with a single np.divmod; the division
+is exact, and a remainder raises ArithmeticError.
 int64 is exact for p below arith.INT64_P_BOUND, and d_vector raises
 Int64BoundError above it.  d_lens gives the Fraction value N / (4p).  The
 relabeling Q(i) = [h*i + c]_p of Spin^c structures takes its shift c from
@@ -47,9 +48,9 @@ def d_vector(p: int, q: int) -> np.ndarray:
         if not 0 < q < p or gcd(p, q) != 1:
             raise ValueError(f"bad lens parameters ({p}, {q})")
         lower = np.asarray(d_vector(q, p % q), dtype=np.int64)
-        lower = np.tile(lower, -(-p // q))[:p]   # N_lower[i mod q]
-        s = 2 * np.arange(p, dtype=np.int64) + (1 - p - q)
-        out, rem = np.divmod(s * s - p * q - p * lower, q)
+        i = np.arange(p, dtype=np.int64)
+        s = 2 * i + (1 - p - q)
+        out, rem = np.divmod(s * s - p * q - p * lower[i % q], q)
         if rem.any():
             raise ArithmeticError(f"correction terms of L({p},{q}) are not in (1/4p)Z")
     out.flags.writeable = False

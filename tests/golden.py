@@ -70,6 +70,16 @@ def d_lens_p1(p: int, i: int) -> Fraction:
     return Fraction((2 * i - p) ** 2 - p, 4 * p)
 
 
+def euler_check_oracle(p: int, d, lambda_pq: Fraction, lambda_p1: Fraction,
+                       poly_dd1: int) -> bool:
+    """Oracle: casson.euler_check as it compared in Fractions.
+
+    p * (d + 2*lambda(L(p,q)) - 2*lambda(L(p,1))) == Delta''(1), exactly.
+    The caller passes lambda_pq = lambda(L(p,q)) and lambda_p1 = lambda(L(p,1)).
+    """
+    return p * (Fraction(d) + 2 * lambda_pq - 2 * lambda_p1) == poly_dd1
+
+
 def spin_c_Q(h: int, p: int, i: int) -> int:
     """Oracle: the Spin^c relabeling Q(i) = [h*i + c]_p."""
     return (h * i + spin_c_c(h, p)) % p
