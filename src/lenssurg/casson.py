@@ -73,6 +73,16 @@ def euler_check(p: int, d, lambda_pq: Fraction, lambda_p1: Fraction,
     return p * (d * b * e + 2 * a * e - 2 * c * b) == poly_dd1 * b * e
 
 
+def _below_threshold(p: int) -> list:
+    """The q coprime to p with 2*lambda(L(p,q)) - 2*lambda(L(p,1)) <= (1/4)(p/4 - 1).
+
+    With S = -8p^2 lambda (`_sums`) that is 4(S(p,1) - S(p,q)) <= p^2 (p - 4).
+    """
+    s_p1 = _sums(p, 1)[0]
+    return [q for q in range(1, p)
+            if gcd(p, q) == 1 and 4 * (s_p1 - _sums(p, q)[0]) <= p * p * (p - 4)]
+
+
 def ras_verify(p_max: int) -> list:
     """Check the lambda threshold picking out L(p,1), L(p,2), L(p,3).
 
@@ -85,14 +95,7 @@ def ras_verify(p_max: int) -> list:
         raise ValueError("p_max must be at least 4")
     violations = []
     for p in range(4, p_max + 1):
-        lam_p1 = lambda_rustamov(p, 1)
-        threshold = Fraction(1, 4) * (Fraction(p, 4) - 1)
         allowed = {1 % p, 2 % p, 3 % p}
         allowed |= {pow(a, -1, p) for a in (1, 2, 3) if gcd(a, p) == 1}
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            if 2 * lambda_rustamov(p, q) - 2 * lam_p1 <= threshold:
-                if q not in allowed:
-                    violations.append((p, q))
+        violations += [(p, q) for q in _below_threshold(p) if q not in allowed]
     return violations

@@ -333,15 +333,15 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> Certificate:
-    """Inverse of certificate_to_json; ValueError on a malformed polynomial
-    or reduced vector."""
-    if len(doc["reduced"]) != doc["p"]:
-        raise ValueError("reduced vector length must equal the modulus p")
+    """Inverse of certificate_to_json; ValueError on a malformed polynomial,
+    reduced vector or torsion list."""
+    if len(doc["reduced"]) != doc["p"] or len(doc["torsions"]) != doc["g"]:
+        raise ValueError("reduced and torsions must have the modulus p and genus g entries")
     poly = tuple(doc["coefficients"])
     if not poly:
         raise ValueError("empty coefficient list")
-    if not all(type(a) is int for a in poly):
-        raise ValueError("coefficients must be integers")
+    if not all(type(a) is int for a in (*poly, *doc["reduced"], *doc["torsions"])):
+        raise ValueError("coefficients, reduced and torsions must be integers")
     if len(poly) > 1 and poly[-1] == 0:
         raise ValueError("top coefficient must be nonzero")
     datum = SurgeryDatum(p=doc["p"], q=doc["q"], h=doc["h"], d=doc["d"], g=doc["g"])

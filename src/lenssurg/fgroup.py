@@ -14,10 +14,10 @@ moves come in runs: the best of the eight is repeated while it still
 shortens the copy, and only then are all eight tried again.  For the datum
 (2001, 721, 82) one move shortens the 4,039 letters 25 times in a row, so
 all eight are tried once for that run, not once for each of its steps.  A
-move is tried without being applied: its change in length is read off the
-counts of letters and of two-letter pairs in the cyclic words, and only the
-move taken rewrites them.  Substitutions are searched in one pass over the
-rotations of each relator.
+move is tried without being applied: all eight changes in length are read
+off one count of the letters and two-letter pairs in the cyclic words, and
+only the move taken rewrites them, in one cancellation pass.  Substitutions
+are searched in one pass over the rotations of each relator.
 
 Words are sequences of nonzero ints: +1/-1 for the first generator and
 its inverse, +2/-2 for the second.  Printed form uses a/A/b/B.
@@ -190,10 +190,32 @@ _NIELSEN_MOVES = tuple(
 )
 
 
-def _score(words, move):
+def _reads(move):
+    """The strings whose counts give a move's score: g, G and two pairs."""
+    g, e, append = move
+    G, E = g.upper(), e.swapcase()
+    return (g, G) + ((g + E, e + G) if append else (E + g, G + e))
+
+
+# the 4 letters and the 8 pairs of letters of different generators
+_ALL_READS = tuple(dict.fromkeys(s for move in _NIELSEN_MOVES for s in _reads(move)))
+
+
+def _counts(words, strings):
+    """Occurrences of the strings in the words, pairs also across the seam."""
+    counts = dict.fromkeys(strings, 0)
+    for w in words:
+        for s in strings:
+            counts[s] += w.count(s)
+        if w[-1:] + w[:1] in counts:
+            counts[w[-1] + w[0]] += 1
+    return counts
+
+
+def _score(counts, move):
     """The change in total length that a Nielsen move makes, from counts.
 
-    The words must be cyclically reduced.  The move x_g -> x_g e maps g to
+    The words counted are cyclically reduced.  The move x_g -> x_g e maps g to
     g e and G = g^-1 to E G, so each g or G adds one letter.  Images end
     with e, G or an o-letter and start with g, E or an o-letter, so in a
     reduced word two neighbouring images cancel only as e E, at the pairs
@@ -204,25 +226,23 @@ def _score(words, move):
     nothing cascades, and the change is #g + #G - 2(#gE + #eG).  For
     x_g -> e x_g (images e g and G E) it is #g + #G - 2(#Eg + #Ge).
     """
-    g, e, append = move
-    G, E = g.upper(), e.swapcase()
-    pairs = (g + E, e + G) if append else (E + g, G + e)
-    score = 0
-    for w in words:
-        if w:
-            ends = w[-1] + w[0]   # the pair across the cyclic seam
-            score += w.count(g) + w.count(G) - 2 * sum(
-                w.count(pair) + (ends == pair) for pair in pairs)
-    return score
+    g, G, pair, other = _reads(move)
+    return counts[g] + counts[G] - 2 * (counts[pair] + counts[other])
 
 
 def _nielsen(words, move):
-    """The words after a Nielsen move, freely and cyclically reduced."""
+    """The words after a Nielsen move, freely and cyclically reduced.
+
+    The words must be cyclically reduced.  Then by `_score` only e E (E e
+    for x_g -> e x_g) cancels and nothing cascades: one replace drops all
+    such pairs but the one, at most, across the seam, stripped at the ends.
+    """
     g, e, append = move
     G, E = g.upper(), e.swapcase()
-    image, inverse = (g + e, E + G) if append else (e + g, G + E)
+    image, inverse, cancel = (g + e, E + G, e + E) if append else (e + g, G + E, E + e)
     # the first replace adds only o-letters, so the second sees only the G's
-    return [_reduce(w.replace(g, image).replace(G, inverse)) for w in words]
+    moved = [w.replace(g, image).replace(G, inverse).replace(cancel, "") for w in words]
+    return [w[1:-1] if w[-1:] + w[:1] == cancel else w for w in moved]
 
 
 def _simplify(pres: GroupPresentation) -> GroupPresentation:
@@ -242,11 +262,12 @@ def _simplify(pres: GroupPresentation) -> GroupPresentation:
     and 7 letters, the length of the standard presentation of the binary
     icosahedral group.
     """
-    words = [_reduce("".join(_LETTERS[x] for x in w)) for w in pres.relators]
+    words = [_reduce("".join(map(_LETTERS.__getitem__, w))) for w in pres.relators]
     run = None   # the Nielsen move that shortened last
     while True:
-        if run is None or _score(words, run) >= 0:
-            scores = [_score(words, move) for move in _NIELSEN_MOVES]
+        if run is None or _score(_counts(words, _reads(run)), run) >= 0:
+            counts = _counts(words, _ALL_READS)   # one pass scores all eight
+            scores = [_score(counts, move) for move in _NIELSEN_MOVES]
             best = min(scores)
             run = _NIELSEN_MOVES[scores.index(best)] if best < 0 else None
         if run is not None:

@@ -127,3 +127,26 @@ def substitute_oracle(words):
                     if length < (best[0] if best else total):
                         best = (length, words[:i] + [new] + words[i + 1:])
     return best
+
+
+def nielsen_oracle(words, move):
+    """Oracle: fgroup._nielsen as it ran every moved word through _reduce."""
+    g, e, append = move
+    G, E = g.upper(), e.swapcase()
+    image, inverse = (g + e, E + G) if append else (e + g, G + E)
+    # the first replace adds only o-letters, so the second sees only the G's
+    return [_reduce(w.replace(g, image).replace(G, inverse)) for w in words]
+
+
+def score_oracle(words, move):
+    """Oracle: fgroup._score as it counted one move's strings on every call."""
+    g, e, append = move
+    G, E = g.upper(), e.swapcase()
+    pairs = (g + E, e + G) if append else (E + g, G + e)
+    score = 0
+    for w in words:
+        if w:
+            ends = w[-1] + w[0]   # the pair across the cyclic seam
+            score += w.count(g) + w.count(G) - 2 * sum(
+                w.count(pair) + (ends == pair) for pair in pairs)
+    return score

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lenssurg.alex import dd1
-from lenssurg.casson import _sums, euler_check, lambda_dedekind, lambda_rustamov, ras_verify
+from lenssurg.casson import (
+    _below_threshold, _sums, euler_check, lambda_dedekind, lambda_rustamov, ras_verify)
 from lenssurg.dinv import d_vector
 from golden import DELTA_K2, DELTA_K6, euler_check_oracle
 
@@ -94,6 +95,21 @@ def test_euler_check_matches_fraction_oracle(p, d, lambda_p1, poly_dd1, holds, m
 def test_ras_verify_small():
     assert ras_verify(4) == []
     assert ras_verify(100) == []
+
+
+def test_ras_selection_matches_fraction_threshold():
+    # the integer test picks the same (p, q) as the threshold in Fractions,
+    # (4, 1) at equality among them
+    selected = 0
+    for p in range(2, 120):
+        lam_p1 = lambda_rustamov(p, 1)
+        threshold = Fraction(1, 4) * (Fraction(p, 4) - 1)
+        expected = [q for q in range(1, p) if gcd(p, q) == 1
+                    and 2 * lambda_rustamov(p, q) - 2 * lam_p1 <= threshold]
+        assert _below_threshold(p) == expected, p
+        selected += len(expected)
+    assert selected == 336
+    assert _below_threshold(4) == [1]
 
 
 def test_lambda_reads_no_correction_terms():

@@ -271,6 +271,23 @@ def test_certificate_from_json_rejects_a_malformed_polynomial(coefficients):
         certificate_from_json(doc)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("reduced", lambda r: [float(r[0])] + r[1:]),      # float entry
+    ("reduced", lambda r: [str(r[0])] + r[1:]),        # string entry
+    ("reduced", lambda r: [r[0] == 1] + r[1:]),        # bool entry
+    ("torsions", lambda t: t[:-1] + [float(t[-1])]),   # float entry
+    ("torsions", lambda t: t[:-1] + [True]),           # bool entry
+    ("torsions", lambda t: t[:-1]),                    # g - 1 entries
+    ("torsions", lambda t: t + [0]),                   # g + 1 entries
+])
+def test_certificate_from_json_rejects_malformed_vectors(field, value):
+    doc = certificate_to_json(certify(38, 7, 7))
+    assert certificate_from_json(doc) == certify(38, 7, 7)
+    doc[field] = value(doc[field])
+    with pytest.raises(ValueError):
+        certificate_from_json(doc)
+
+
 def test_os_form_of_every_certificate():
     for p, q, h in [(8, 1, 3), (22, 3, 5), (38, 7, 7), (7, 2, 2)]:
         cert = certify(p, q, h)

@@ -7,10 +7,13 @@ import pytest
 from lenssurg.certify import certify, canonical_h
 from lenssurg import fgroup
 from lenssurg.fgroup import (
+    _ALL_READS,
     _LETTERS,
     _NIELSEN_MOVES,
     GroupPresentation,
+    _counts,
     _nielsen,
+    _reads,
     _reduce,
     _score,
     _simplify,
@@ -19,7 +22,7 @@ from lenssurg.fgroup import (
     build_presentation,
     todd_coxeter,
 )
-from golden import BINARY_ICOSAHEDRAL, substitute_oracle
+from golden import BINARY_ICOSAHEDRAL, nielsen_oracle, score_oracle, substitute_oracle
 
 
 def test_reference_presentation():
@@ -166,8 +169,49 @@ def test_move_score_is_the_length_change():
             moved = [_cyclically_reduced([y for x in w for y in sub[x]]) for w in pair]
             letters = [_letters(w) for w in pair]
             change = sum(map(len, moved)) - sum(map(len, pair))
-            assert _score(letters, move) == change, (move, letters)
+            _assert_move_matches_the_oracles(letters, move)
+            assert _score(_counts(letters, _reads(move)), move) == change, (move, letters)
             assert _nielsen(letters, move) == [_letters(w) for w in moved], (move, letters)
+
+
+def _assert_move_matches_the_oracles(words, move):
+    """_nielsen against the _reduce-based oracle; the score from all twelve
+    counts and from the move's own four against the per-move count."""
+    assert _nielsen(words, move) == nielsen_oracle(words, move), (move, words)
+    score = score_oracle(words, move)
+    assert _score(_counts(words, _ALL_READS), move) == score, (move, words)
+    assert _score(_counts(words, _reads(move)), move) == score, (move, words)
+
+
+def test_nielsen_examples():
+    # a -> ab: aB becomes abB = a; Ba becomes Bab, which cancels across the
+    # seam to a
+    assert _nielsen(["aB", "Ba"], ("a", "b", True)) == ["a", "a"]
+    # a -> ba: Ba becomes Bba = a; aB becomes baB, which cancels across the
+    # seam to a
+    assert _nielsen(["Ba", "aB"], ("a", "b", False)) == ["a", "a"]
+    # single letters: only the moved generator grows
+    assert _nielsen(["a", "A", "b", "B"], ("a", "b", True)) == ["ab", "BA", "b", "B"]
+
+
+def test_nielsen_matches_the_oracle_on_short_words():
+    # every cyclically reduced word of one to six letters, single letters,
+    # g E and E g among them, and words whose only cancellation after the
+    # move lies across the seam
+    words = [w for n in range(1, 7) for w in map("".join, itertools.product("aAbB", repeat=n))
+             if _reduce(w) == w]
+    assert {"a", "aB", "Ba"} <= set(words)
+    for move in _NIELSEN_MOVES:
+        _, _, pair, other = _reads(move)
+        seam_only = [w for w in words if pair not in w and other not in w
+                     and w[-1] + w[0] in (pair, other)]
+        assert len(seam_only) > 50, move
+        for w in words:
+            _assert_move_matches_the_oracles([w], move)
+    # b a lies across the seam of aBab; the empty word counts nothing
+    assert _counts(["aBab", ""], _ALL_READS) == {
+        "a": 2, "A": 0, "b": 1, "B": 1, "aB": 1, "Ba": 1, "ab": 1, "ba": 1,
+        "bA": 0, "Ab": 0, "AB": 0, "BA": 0}
 
 
 def test_simplify_keeps_abelianization_and_shortens():
@@ -257,22 +301,44 @@ def test_substitute_examples():
     assert _substitute(["BabA", "B"]) == substitute_oracle(["BabA", "B"]) == (2, ["b", "B"])
 
 
-def test_substitute_matches_the_oracle_on_fixture_inputs(monkeypatch):
-    # every input that _simplify hands to _substitute on the 190 fixture rows
+@pytest.fixture(scope="module")
+def fixture_inputs():
+    """Every input that _simplify hands to _substitute and _nielsen on the
+    190 fixture rows, as lists of argument tuples keyed by the name."""
     from lenssurg.tables import load_fixture
 
-    inputs = []
+    inputs = {"_substitute": [], "_nielsen": []}
 
-    def record(words):
-        inputs.append(list(words))
-        return _substitute(words)
+    def recorder(name, function):
+        def record(words, *rest):
+            inputs[name].append((list(words), *rest))
+            return function(words, *rest)
+        return record
 
-    monkeypatch.setattr(fgroup, "_substitute", record)
-    for p, q, h, _ in load_fixture("table1") + load_fixture("table2"):
-        fgroup._simplify(build_presentation(certify(p, q, h)))
-    assert len(inputs) > 1000
-    for words in inputs:
+    with pytest.MonkeyPatch.context() as patch:
+        for name in inputs:
+            patch.setattr(fgroup, name, recorder(name, getattr(fgroup, name)))
+        for p, q, h, _ in load_fixture("table1") + load_fixture("table2"):
+            fgroup._simplify(build_presentation(certify(p, q, h)))
+    return inputs
+
+
+def test_substitute_matches_the_oracle_on_fixture_inputs(fixture_inputs):
+    assert len(fixture_inputs["_substitute"]) > 1000
+    for (words,) in fixture_inputs["_substitute"]:
         assert _substitute(words) == substitute_oracle(words), words
+
+
+def test_nielsen_matches_the_oracle_on_fixture_inputs(fixture_inputs):
+    # every move _simplify applies, and the scores of all eight moves on
+    # the words it applies them to
+    assert len(fixture_inputs["_nielsen"]) > 3000
+    for words, move in fixture_inputs["_nielsen"]:
+        assert _nielsen(words, move) == nielsen_oracle(words, move), (move, words)
+        counts = _counts(words, _ALL_READS)
+        assert ([_score(counts, m) for m in _NIELSEN_MOVES]
+                == [score_oracle(words, m) for m in _NIELSEN_MOVES]), words
+        assert _score(_counts(words, _reads(move)), move) == score_oracle(words, move)
 
 
 def test_substitute_matches_the_oracle_on_random_words():
