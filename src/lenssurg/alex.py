@@ -122,8 +122,8 @@ def is_alternating(coeffs) -> bool:
     a = np.asarray(coeffs)
     if a.size == 0 or a[0] == 0:
         return False
-    nonzero = a[a != 0][::-1]
-    return bool(np.array_equal(nonzero, 1 - 2 * (np.arange(nonzero.size) & 1)))
+    nonzero = a[a != 0]   # alternating: each is minus the next, the top one +1
+    return bool(nonzero[-1] == 1 and not (nonzero[1:] + nonzero[:-1]).any())
 
 
 def os_form_check(coeffs):

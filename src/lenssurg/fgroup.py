@@ -19,8 +19,8 @@ off one count of the letters and two-letter pairs in the cyclic words, and
 only the move taken rewrites them, in one cancellation pass.  Substitutions
 are searched in one pass over the rotations of each relator.
 
-Words are sequences of nonzero ints: +1/-1 for the first generator and
-its inverse, +2/-2 for the second.  Printed form uses a/A/b/B.
+A word is a str over a, b and their inverses A, B throughout; only the
+coset table reads a letter as its column, "aAbB".index.
 """
 
 from dataclasses import dataclass
@@ -35,29 +35,29 @@ __all__ = [
     "abelianization_order",
 ]
 
-_LETTERS = {1: "a", -1: "A", 2: "b", -2: "B"}
-
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    relators: tuple  # tuple of words; word = tuple of ints in {+-1, +-2}
+    relators: tuple  # tuple of words; word = str over a, A = a^-1, b, B = b^-1
+
+    def __post_init__(self):
+        for word in self.relators:
+            if not isinstance(word, str) or not set(word) <= set("aAbB"):
+                raise ValueError(f"relator {word!r} is not a str over a, A, b, B")
 
     def exponent_matrix(self):
         """Rows = relators, columns = generators; entries are exponent sums."""
-        return [
-            [sum(1 if x == g else -1 if x == -g else 0 for x in word) for g in (1, 2)]
-            for word in self.relators
-        ]
+        return [[w.count(g) - w.count(g.upper()) for g in "ab"] for w in self.relators]
 
     def __str__(self):
-        return "\n".join("".join(_LETTERS[x] for x in word) for word in self.relators)
+        return "\n".join(self.relators)
 
 
 def build_presentation(cert) -> GroupPresentation:
     """Two-relator presentation attached to a certificate.
 
-    Relator 1 is the product over i = 1..p of x1 * x2^{delta_h(q*i+1)};
-    relator 2 truncates the product at h'-1 and appends x1 * x2^{-e} with
+    Relator 1 is the product over i = 1..p of the steps a b^{delta_h(q*i+1)};
+    relator 2 is the first h'-1 of those steps followed by a b^{-e}, with
     e the reduced coefficient at index [-h'c - h']_p.  The index choice and
     the use of the square representative q* = [h^2]_p are validated by the
     order-120 regression anchors in the test suite.
@@ -68,39 +68,16 @@ def build_presentation(cert) -> GroupPresentation:
     hp = mod_inverse(h, p)
     c = spin_c_c(h, p)
 
-    def delta(i):
-        return 1 <= (q * i + 1) % p <= h
-
-    rel1 = []
-    for i in range(1, p + 1):
-        rel1.append(1)
-        if delta(i):
-            rel1.append(2)
-
+    steps = ["ab" if 1 <= (q * i + 1) % p <= h else "a" for i in range(1, p + 1)]
     e = cert.reduced[(-hp * c - hp) % p]
-    rel2 = []
-    for i in range(1, hp):
-        rel2.append(1)
-        if delta(i):
-            rel2.append(2)
-    rel2.append(1)
-    rel2.extend([-2 if e > 0 else 2] * abs(e))
-    return GroupPresentation((tuple(rel1), tuple(rel2)))
+    rel2 = "".join(steps[:hp - 1]) + "a" + ("B" if e > 0 else "b") * abs(e)
+    return GroupPresentation(("".join(steps), rel2))
 
 
 def abelianization_order(pres: GroupPresentation) -> int:
     """|H_1| as |det| of the 2x2 exponent matrix; 0 encodes infinite."""
     (a, b), (c, d) = pres.exponent_matrix()
     return abs(a * d - b * c)
-
-
-def _directions(word):
-    """Translate a signed word into column indices of the coset table."""
-    dirs = []
-    for x in word:
-        g = abs(x) - 1
-        dirs.append(2 * g if x > 0 else 2 * g + 1)
-    return tuple(dirs)
 
 
 def _reduce(word):
@@ -258,13 +235,15 @@ def _simplify(pres: GroupPresentation) -> GroupPresentation:
     it, and only then are all eight moves searched again; if none shortens
     it, the best substitution is applied instead.  The loop stops when
     neither shortens it, so the result is a local minimum for all eight
-    moves and the substitutions.  Every fixture datum ends at relators of 5
-    and 7 letters, the length of the standard presentation of the binary
-    icosahedral group.
+    moves and the substitutions; a step that does not shorten it raises
+    RuntimeError, as the loop might not end.  Every fixture datum ends at
+    relators of 5 and 7 letters, the length of the standard presentation of
+    the binary icosahedral group.
     """
-    words = [_reduce("".join(map(_LETTERS.__getitem__, w))) for w in pres.relators]
+    words = [_reduce(w) for w in pres.relators]
     run = None   # the Nielsen move that shortened last
     while True:
+        total = sum(map(len, words))
         if run is None or _score(_counts(words, _reads(run)), run) >= 0:
             counts = _counts(words, _ALL_READS)   # one pass scores all eight
             scores = [_score(counts, move) for move in _NIELSEN_MOVES]
@@ -272,13 +251,14 @@ def _simplify(pres: GroupPresentation) -> GroupPresentation:
             run = _NIELSEN_MOVES[scores.index(best)] if best < 0 else None
         if run is not None:
             words = _nielsen(words, run)
-            continue
-        substituted = _substitute(words)
-        if substituted is None:
-            break
-        words = substituted[1]
-    codes = {c: x for x, c in _LETTERS.items()}
-    return GroupPresentation(tuple(tuple(codes[c] for c in w) for w in words))
+        else:
+            substituted = _substitute(words)
+            if substituted is None:
+                break
+            words = substituted[1]
+        if sum(map(len, words)) >= total:
+            raise RuntimeError("a step of _simplify did not shorten the relators")
+    return GroupPresentation(tuple(words))
 
 
 def todd_coxeter(pres: GroupPresentation, max_cosets: int = 10**6):
@@ -296,7 +276,7 @@ def todd_coxeter(pres: GroupPresentation, max_cosets: int = 10**6):
     live coset's row is then filled, so the finished table is a genuine
     action.
     """
-    rels = [_directions(w) for w in _simplify(pres).relators]
+    rels = [tuple(map("aAbB".index, w)) for w in _simplify(pres).relators]
     rels = [(w, tuple(d ^ 1 for d in w)) for w in rels]
 
     # two generators, forward and inverse columns: row c is table[4c : 4c + 4]

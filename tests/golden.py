@@ -85,10 +85,10 @@ def spin_c_Q(h: int, p: int, i: int) -> int:
     return (h * i + spin_c_c(h, p)) % p
 
 
-# the binary icosahedral group <x, y | (xy)^2 = x^3 = y^5>, of order 120
+# the binary icosahedral group <a, b | (ab)^2 = a^3 = b^5>, of order 120
 BINARY_ICOSAHEDRAL = GroupPresentation((
-    (1, 2, 1, 2, -1, -1, -1),            # (xy)^2 x^-3
-    (1, 1, 1, -2, -2, -2, -2, -2),       # x^3 y^-5
+    "ababAAA",      # (ab)^2 a^-3
+    "aaaBBBBB",     # a^3 b^-5
 ))
 
 

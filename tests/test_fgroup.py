@@ -8,7 +8,6 @@ from lenssurg.certify import certify, canonical_h
 from lenssurg import fgroup
 from lenssurg.fgroup import (
     _ALL_READS,
-    _LETTERS,
     _NIELSEN_MOVES,
     GroupPresentation,
     _counts,
@@ -32,9 +31,17 @@ def test_reference_presentation():
 
 def test_abelianization_examples():
     # <x, y | x^2, y^3> has H_1 of order 6
-    assert abelianization_order(GroupPresentation(((1, 1), (2, 2, 2)))) == 6
+    assert abelianization_order(GroupPresentation(("aa", "bbb"))) == 6
     # infinite abelianization encoded as 0
-    assert abelianization_order(GroupPresentation(((1, -1), (2, -2)))) == 0
+    assert abelianization_order(GroupPresentation(("aA", "bB"))) == 0
+
+
+def test_malformed_relators_are_rejected():
+    # an int word would otherwise count as the empty word, exponent sums 0
+    with pytest.raises(ValueError):
+        GroupPresentation(((1, 2), (2,)))
+    with pytest.raises(ValueError):
+        GroupPresentation(("ax", "b"))
 
 
 def test_presentation_words_anchor():
@@ -76,9 +83,9 @@ def test_order_1_for_d0_data():
 
 def test_known_triangle_group_orders():
     # <a,b | a^2, b^3, (ab)^5> is A_5; the (2,3,7) variant is infinite
-    a5 = GroupPresentation(((1, 1), (2, 2, 2), (1, 2) * 5))
+    a5 = GroupPresentation(("aa", "bbb", "ab" * 5))
     assert todd_coxeter(a5) == 60
-    hyperbolic = GroupPresentation(((1, 1), (2, 2, 2), (1, 2) * 7))
+    hyperbolic = GroupPresentation(("aa", "bbb", "ab" * 7))
     assert todd_coxeter(hyperbolic, max_cosets=3000) is None
 
 
@@ -109,40 +116,39 @@ def test_single_convention_across_all_small_data():
 
 
 def _is_reduced(word):
-    free = all(x != -y for x, y in zip(word, word[1:]))
-    return free and (len(word) < 2 or word[0] != -word[-1])
+    free = all(x != y.swapcase() for x, y in zip(word, word[1:]))
+    return free and (len(word) < 2 or word[0] != word[-1].swapcase())
 
 
 def _cyclically_reduced(word):
     out = []
     for x in word:
-        if out and out[-1] == -x:
+        if out and out[-1] == x.swapcase():
             out.pop()
         else:
             out.append(x)
-    while len(out) > 1 and out[0] == -out[-1]:
+    while len(out) > 1 and out[0] == out[-1].swapcase():
         out = out[1:-1]
-    return out
+    return "".join(out)
 
 
 def _nielsen_substitutions():
     """x_g -> x_o^e x_g or x_g x_o^e (o the other generator, e = +-1)."""
     subs = []
-    for g in (1, 2):
-        o = 3 - g
-        for e in (o, -o):
-            for image in ((e, g), (g, e)):
-                inverse = tuple(-x for x in reversed(image))
-                subs.append({g: image, -g: inverse, o: (o,), -o: (-o,)})
+    for g, o in ("ab", "ba"):
+        for e in (o, o.upper()):
+            for image in (e + g, g + e):
+                inverse = image[::-1].swapcase()
+                subs.append({g: image, g.upper(): inverse, o: o, o.upper(): o.upper()})
     return subs
 
 
-def _letters(word):
-    return "".join(_LETTERS[x] for x in word)
+def _moved(word, sub):
+    return _cyclically_reduced("".join(sub[x] for x in word))
 
 
 def _random_word(rng, n):
-    return [rng.choice((1, -1, 2, -2)) for _ in range(n)]
+    return "".join(rng.choice("aAbB") for _ in range(n))
 
 
 def test_reduce_matches_the_loop_oracle():
@@ -151,14 +157,14 @@ def test_reduce_matches_the_loop_oracle():
     # conjugates u v u^-1 exercise long cyclic strips
     for _ in range(500):
         u, v = _random_word(rng, rng.randrange(20)), _random_word(rng, rng.randrange(5))
-        words.append(u + v + [-x for x in reversed(u)])
+        words.append(u + v + u[::-1].swapcase())
     for word in words:
-        assert _reduce(_letters(word)) == _letters(_cyclically_reduced(word)), word
+        assert _reduce(word) == _cyclically_reduced(word), word
 
 
 def test_move_score_is_the_length_change():
     # every cyclically reduced word of length 0 to 3, and seeded random ones
-    small = [list(w) for n in range(4) for w in itertools.product((1, -1, 2, -2), repeat=n)]
+    small = ["".join(w) for n in range(4) for w in itertools.product("aAbB", repeat=n)]
     rng = random.Random(11)
     words = [w for w in small if _cyclically_reduced(w) == w]
     words += [_cyclically_reduced(_random_word(rng, rng.randrange(80))) for _ in range(300)]
@@ -166,12 +172,11 @@ def test_move_score_is_the_length_change():
     for move, sub in zip(_NIELSEN_MOVES, _nielsen_substitutions(), strict=True):
         for i, word in enumerate(words):
             pair = [word, words[i - 1]]
-            moved = [_cyclically_reduced([y for x in w for y in sub[x]]) for w in pair]
-            letters = [_letters(w) for w in pair]
+            moved = [_moved(w, sub) for w in pair]
             change = sum(map(len, moved)) - sum(map(len, pair))
-            _assert_move_matches_the_oracles(letters, move)
-            assert _score(_counts(letters, _reads(move)), move) == change, (move, letters)
-            assert _nielsen(letters, move) == [_letters(w) for w in moved], (move, letters)
+            _assert_move_matches_the_oracles(pair, move)
+            assert _score(_counts(pair, _reads(move)), move) == change, (move, pair)
+            assert _nielsen(pair, move) == moved, (move, pair)
 
 
 def _assert_move_matches_the_oracles(words, move):
@@ -232,17 +237,24 @@ def test_simplify_keeps_abelianization_and_shortens():
         # a local minimum: no Nielsen move and no substitution shortens it
         total = sum(map(len, simple.relators))
         for sub in subs:
-            moved = [_cyclically_reduced([y for x in w for y in sub[x]])
-                     for w in simple.relators]
+            moved = [_moved(w, sub) for w in simple.relators]
             assert sum(map(len, moved)) >= total, cert.datum
-        assert _substitute(str(simple).split("\n")) is None, cert.datum
+        assert _substitute(list(simple.relators)) is None, cert.datum
 
 
 def test_simplify_examples():
     # <a, b | ab, b> becomes <a, b | a, b> after one move
-    assert _simplify(GroupPresentation(((1, 2), (2,)))).relators == ((1,), (2,))
+    assert _simplify(GroupPresentation(("ab", "b"))).relators == ("a", "b")
     # reduction alone: a a^-1 b b^-1 is empty, a b a^-1 is conjugate to b
-    assert _simplify(GroupPresentation(((1, -1, 2, -2), (1, 2, -1)))).relators == ((), (2,))
+    assert _simplify(GroupPresentation(("aAbB", "abA"))).relators == ("", "b")
+
+
+def test_simplify_raises_if_a_step_does_not_shorten(monkeypatch):
+    # every move scored as shortening: the first one that lengthens the
+    # relators must stop the loop, which would otherwise never end
+    monkeypatch.setattr(fgroup, "_score", lambda counts, move: -1)
+    with pytest.raises(RuntimeError):
+        _simplify(BINARY_ICOSAHEDRAL)
 
 
 # the last eight overflow the default limit when the relators are shortened
@@ -275,6 +287,26 @@ def test_whole_fixture_closes_at_order_120():
     # pins the simplified relators of every row, byte for byte
     assert digest.hexdigest() == (
         "eaf16d4ae47e141701ca690448facb8ecb5b53586f297e6e669ae113cf7ecba0")
+
+
+def test_built_presentations_are_pinned():
+    # d = 0 data and relator-2 exponents of both signs and 0 among them
+    from lenssurg.search import enumerate_search
+
+    certs = enumerate_search(2, 400).certificates
+    assert len(certs) == 1703
+    assert {c.d for c in certs} == {0, 2}
+    digest = hashlib.sha256()
+    ends = set()
+    for cert in certs:
+        pres = build_presentation(cert)
+        digest.update(f"{pres}\n".encode())
+        ends.add(pres.relators[1][-1])
+    # relator 2 is ... a b^-e, so it ends in B for e > 0, a for 0, b for e < 0
+    assert ends == {"B", "a", "b"}
+    # pins the built relators of every certificate, byte for byte
+    assert digest.hexdigest() == (
+        "d74f833dd768d5a1df44eb840353c0dd162bbcc1ec1fe2827e89002692eb4ebb")
 
 
 def test_substitute_examples():
@@ -345,14 +377,14 @@ def test_substitute_matches_the_oracle_on_random_words():
     # periodic words u^k v make many rotations match, with long strips
     rng = random.Random(12)
 
-    def word(n, letters=(1, -1, 2, -2)):
-        return _letters(_cyclically_reduced([rng.choice(letters) for _ in range(n)]))
+    def word(n, letters="aAbB"):
+        return _cyclically_reduced("".join(rng.choice(letters) for _ in range(n)))
 
     for trial in range(4000):
         if trial % 4 == 0:
             words = [word(rng.randrange(1, 30)) for _ in range(rng.choice((2, 3)))]
         elif trial % 4 == 1:
-            words = [word(rng.randrange(1, 30), (1, 2)) for _ in range(2)]
+            words = [word(rng.randrange(1, 30), "ab") for _ in range(2)]
         else:
             u = word(rng.randrange(1, 6))
             words = [_reduce(u * rng.randrange(1, 12) + word(rng.randrange(5)))
