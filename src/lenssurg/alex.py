@@ -73,17 +73,18 @@ def window_starts(p: int, q: int, hp: int) -> np.ndarray:
     return (q * np.arange(1, hp + 1, dtype=np.int64)) % p
 
 
-def coverage_depth(p: int, q: int, h: int, hp: int) -> np.ndarray:
+def coverage_depth(p: int, h: int, starts: np.ndarray) -> np.ndarray:
     """Phi^k_{p,q}(h) for every k in [0, p), as an int64 numpy array.
 
-    Takes 0 <= q < p, h = [h]_p and hp = [h^{-1}]_p.  Each j in [1, hp]
-    counts towards Phi^k exactly when its window start [qj]_p lies in
-    [k + 1, k + h], read cyclically.  With C(m) the number of j whose start
-    is at most m, extended by C(m + p) = C(m) + hp, that makes
+    Takes h = [h]_p and starts = window_starts(p, q, hp), hp = [h^{-1}]_p,
+    which the caller builds (the search screen counts on them first).  Each
+    j in [1, hp] counts towards Phi^k exactly when its window start [qj]_p
+    lies in [k + 1, k + h], read cyclically.  With C(m) the number of j
+    whose start is at most m, extended by C(m + p) = C(m) + hp, that makes
     Phi^k = C(k + h) - C(k): one cumulative count in integer numpy ops.
     """
-    c = np.cumsum(np.bincount(window_starts(p, q, hp), minlength=p))
-    return np.concatenate((c[h:], c[:h] + hp)) - c
+    c = np.cumsum(np.bincount(starts, minlength=p))
+    return np.concatenate((c[h:], c[:h] + len(starts))) - c
 
 
 def reduced_from_depth(depth: np.ndarray, h: int, hp: int, count: int) -> np.ndarray:
@@ -97,17 +98,20 @@ def reduced_from_depth(depth: np.ndarray, h: int, hp: int, count: int) -> np.nda
     return depth[k] - (h * hp - 1) // p
 
 
-def reduced_coeffs(p: int, q: int, h: int) -> np.ndarray:
+def reduced_coeffs(p: int, q: int, h: int, *, depth=None) -> np.ndarray:
     """Reduced Alexander coefficients a~_i = -m + Phi^{hi+c}_{p,q}(h) for i in Z/p.
 
     An int64 array of length p, computed for all residues at once by
-    indexing coverage_depth.  Always sums to 1.
+    indexing coverage_depth.  Always sums to 1.  A caller that holds that
+    depth for (p, q, h) already passes it as depth.
     """
     h = h % p
     hp = mod_inverse(h, p)
     if gcd(q, p) != 1:
         raise ValueError(f"gcd({q}, {p}) != 1")
-    return reduced_from_depth(coverage_depth(p, q % p, h, hp), h, hp, p)
+    if depth is None:
+        depth = coverage_depth(p, h, window_starts(p, q % p, hp))
+    return reduced_from_depth(depth, h, hp, p)
 
 
 def is_symmetric(e) -> bool:

@@ -22,12 +22,13 @@ scaled by 4p, in integers: with N = 4p * d(L(p,q*), .) from dinv.d_vector,
 _forced_d solves that identity for D at every i, in one int64 vector:
 D_i = 8p * t~_i + N[Q(i)] - (2i - p)^2 + p is 4p times the d forced at i.
 D_0 is the derived d (scaled by 4p), and the formula holds at all i exactly
-when every D_i equals D_0.  The stages run on the int64 arrays of the alex
-module (reduced vector, coefficients, torsions and their class sums); the
-bound arith.INT64_P_BOUND keeps them exact.  The certificate stores the
-reduced vector, the coefficients a_0..a_g of the polynomial and the
-torsions as tuples of Python ints, built only for a certificate, never for
-a rejection.
+when every D_i equals D_0.  In a search, the reduce stage reads the
+coverage depth that search._screen built; certify builds it.  The stages
+run on the int64 arrays of the alex module (reduced vector, coefficients,
+torsions and their class sums); the bound arith.INT64_P_BOUND keeps them
+exact.  The certificate stores the reduced vector, the coefficients
+a_0..a_g of the polynomial and the torsions as tuples of Python ints, built
+only for a certificate, never for a rejection.
 """
 
 from dataclasses import dataclass, replace
@@ -157,13 +158,17 @@ def _compatible(p: int, q: int, h: int) -> bool:
     return qs == q or qs == mod_inverse(q, p)
 
 
-def _reconstruct(p: int, h: int, g=None):
+def _reconstruct(p: int, h: int, g=None, screened=None):
     """Stages reduce and unreduce: (reduced vector, genus, coefficients a_0..a_g).
 
-    The genus is read off the reduced vector when g is None.  Raises
-    UnreduceError when the vector admits no alternating polynomial.
+    The reduce stage counts the windows of h, or reads the depth of the
+    orbit member hs in screened = (hs, depth) from search._screen: the
+    reduced vector is an orbit invariant.  The genus is read off the reduced
+    vector when g is None.  Raises UnreduceError when the vector admits no
+    alternating polynomial.
     """
-    e = reduced_coeffs(p, square_rep(p, h), h)
+    hs, depth = screened or (h, None)
+    e = reduced_coeffs(p, square_rep(p, hs), hs, depth=depth)
     if abs(int(e[0])) != 1 or not is_symmetric(e):
         raise UnreduceError("reduced coefficients cannot reduce an alternating polynomial")
     if g is None:
@@ -217,19 +222,20 @@ def certify(p: int, q: int, h: int, require_even_d: bool = True):
     return _certify_class(p, canonical_h(p, h), require_even_d=require_even_d)
 
 
-def _certify_class(p, h, require_even_d=True, g=None):
+def _certify_class(p, h, require_even_d=True, g=None, screened=None):
     """Pipeline body for a dual class h, with q* = [h^2]_p.
 
     The reduced vector is reconstructed at genus g, read off the vector when
     g is None.  For odd p a vector can have a second reconstruction, at
-    g = (p+1)/2; lift_to_d2 asks for that one.
+    g = (p+1)/2; lift_to_d2 asks for that one.  Only the search passes
+    screened, its screen's result for h.
     """
     qs = square_rep(p, h)
     q_canon = canonical_q(p, qs)
     h_canon = canonical_h(p, h)
 
     try:
-        e, g, coeffs = _reconstruct(p, h, g)   # unreduce checks the alternating form
+        e, g, coeffs = _reconstruct(p, h, g, screened)   # unreduce checks the alternating form
     except UnreduceError as err:
         return Rejection(p, q_canon, h_canon, "os-form", str(err))
 

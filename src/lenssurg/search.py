@@ -15,8 +15,10 @@ p ~ 1000 and above fail on one count taken before the length-p depth is
 built: Phi^0, the number of window starts at most h, must lie in
 [m, m + 2], because Phi^{p-1} = Phi^0 - 1 and both lie in [m - 1, m + 2]
 (proof in _screen).  Survivors go through the full exact certification
-pipeline.  The screen is validated against the plain pipeline on small
-slopes in the test suite.
+pipeline, which reads the screen's depth in place of counting the windows
+again, so each candidate's window starts and depth are built once.  The
+screen is validated against the plain pipeline on small slopes in the test
+suite.
 """
 
 import warnings
@@ -70,15 +72,17 @@ def _class_reps(p):
     """Minimal representatives of nontrivial dual-class orbits, with weights.
 
     Yields (h_min, inverse_of_hmin, orbit_size, q_multiplicity); h_min runs
-    over class minima in [2, p/2].
+    over class minima in [2, p/2].  h < p/2 for a unit h >= 2, so h != p - h
+    and hp != p - hp: the orbit {h, p - h, hp, p - hp} has 2 members when hp
+    is h or p - h, and 4 otherwise.
     """
     for h in range(2, p // 2 + 1):
         if gcd(h, p) != 1:
             continue
         hp = pow(h, -1, p)
-        if min(hp, p - hp) < h:
+        if hp < h or p - hp < h:
             continue  # not the orbit minimum
-        orbit = len({h, p - h, hp, p - hp})
+        orbit = 2 if hp == h or hp == p - h else 4
         qmult = 1 if (h * h) % p == (hp * hp) % p else 2
         yield h, hp, orbit, qmult
 
@@ -93,6 +97,11 @@ def _screen(p, h, hp):
     coefficient vector is an orbit invariant, and q = [h^2]_p moves with
     the member), so coverage_depth sums the fewest windows.
 
+    Returns None for a rejected class, and for a passing one the tuple
+    (hs, depth) of the member it worked with and its coverage_depth, which
+    _certify_class reads in place of counting again.  A tuple, not the bare
+    array, so that the result is true exactly when the class passes.
+
     The range test first looks at one count: Phi^0, the number of window
     starts [qj]_p (j in [1, hp]) in [1, h], that is, at most h.  The window
     of k = p - 1 is [p, p - 1 + h], read cyclically {0} and [1, h - 1]: it
@@ -100,23 +109,24 @@ def _screen(p, h, hp):
     (the starts are distinct, and [q*hp]_p = h since h*hp = 1 mod p).  So
     Phi^{p-1} = Phi^0 - 1, both lie in [m - 1, m + 2] only if
     m <= Phi^0 <= m + 2, and a candidate failing that is rejected, as the
-    full range test would reject it, before the length-p depth is built.
+    full range test would reject it, before the length-p depth is built
+    from the same starts.
     """
     # swap to the representative with the cheaper window count
     if hp > h:
         h, hp = hp, h
     m = (h * hp - 1) // p
-    q = (h * h) % p
-    if not m <= np.count_nonzero(window_starts(p, q, hp) <= h) <= m + 2:
-        return False
-    depth = coverage_depth(p, q, h, hp)
+    starts = window_starts(p, (h * h) % p, hp)
+    if not m <= np.count_nonzero(starts <= h) <= m + 2:
+        return None
+    depth = coverage_depth(p, h, starts)
     if not (m - 1 <= depth.min() and depth.max() <= m + 2):
-        return False
+        return None
     e = reduced_from_depth(depth, h, hp, p // 2 + 1)   # a~_0 .. a~_{p/2}
     if abs(int(e[0])) != 1:
-        return False
+        return None
     g = int(np.flatnonzero(e)[-1])
-    return 2 * g >= p or is_alternating(e)
+    return (h, depth) if 2 * g >= p or is_alternating(e) else None
 
 
 def _search_one_p(p, mode):
@@ -130,10 +140,11 @@ def _search_one_p(p, mode):
     for h, hp, orbit, qmult in _class_reps(p):
         weight = orbit * qmult if mode == "exhaustive" else 1
         compat_pairs += orbit * qmult
-        if not _screen(p, h, hp):
+        screened = _screen(p, h, hp)
+        if screened is None:
             rejections["os-form"] += weight
             continue
-        result = _certify_class(p, h, require_even_d=False)
+        result = _certify_class(p, h, require_even_d=False, screened=screened)
         if isinstance(result, Certificate):
             certs.append(result)
             d_hist[result.d] += 1

@@ -19,6 +19,7 @@ from lenssurg.alex import (
     torsion_from_poly,
     unreduce,
 )
+from lenssurg.certify import h_class_set
 from golden import DELTA_K2, DELTA_K6, TREFOIL, delta_k1, delta_lift
 
 ONE = (1,)
@@ -91,11 +92,15 @@ def test_reduced_coeffs_symmetric_on_square_compatible_data():
 
 
 def test_reduced_coeffs_orbit_invariance():
-    # all four class representatives produce the same reduced vector
-    for p, h in [(22, 5), (38, 7), (13, 4), (31, 12)]:
-        base = reduced_coeffs(p, h * h % p, h)
-        for r in (p - h, pow(h, -1, p), p - pow(h, -1, p)):
-            assert reduced_coeffs(p, r * r % p, r).tolist() == base.tolist(), (p, h, r)
+    # all class representatives {+-h^{+-1}} produce the same reduced vector;
+    # the search certifies on the depth of the member its screen picked
+    for p in range(2, 200):
+        for h in range(1, p // 2 + 1):
+            if gcd(h, p) != 1 or h != min(h_class_set(p, h)):
+                continue
+            base = reduced_coeffs(p, h * h % p, h).tolist()
+            for r in h_class_set(p, h) - {h}:
+                assert reduced_coeffs(p, r * r % p, r).tolist() == base, (p, h, r)
 
 
 def test_os_form_check():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lenssurg import dinv
-from lenssurg.alex import coverage_depth
+from lenssurg.alex import window_starts
 from lenssurg.arith import INT64_P_BOUND, Int64BoundError
 from lenssurg.casson import lambda_dedekind, lambda_rustamov
 from lenssurg.dinv import d_lens, d_vector
@@ -59,7 +59,7 @@ def test_int64_bound_edge():
         with pytest.raises(Int64BoundError):
             d_vector(p, 3)
         with pytest.raises(Int64BoundError):
-            coverage_depth(p, 1, 1, 1)
+            window_starts(p, 1, 1)   # every coverage depth is built from these
 
 
 @pytest.mark.parametrize("p,i,expected", [

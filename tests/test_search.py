@@ -10,6 +10,7 @@ from lenssurg.alex import (
     is_alternating,
     reduced_coeffs,
     reduced_from_depth,
+    window_starts,
 )
 from lenssurg.certify import Certificate, Rejection, _certify_class, certify, h_class_set
 from lenssurg.search import (
@@ -94,11 +95,11 @@ def test_screen_agrees_with_pipeline():
     passed_to_os_form = 0
     for p in range(2, 141):
         for h, hp, _, _ in _class_reps(p):
-            passed = _screen(p, h, hp)
+            screened = _screen(p, h, hp)
             result = _certify_class(p, h, require_even_d=False)
             if isinstance(result, Certificate):
-                assert passed, (p, h)
-            elif not passed:
+                assert screened is not None, (p, h)
+            elif screened is None:
                 assert result.stage == "os-form", (p, h, result.stage)
             elif result.stage == "os-form":
                 g = genus_from_reduced(reduced_coeffs(p, h * h % p, h))
@@ -112,27 +113,41 @@ def _screen_member(h, hp):
     return (hp, h) if hp > h else (h, hp)
 
 
+def _depth(p, h, hp):
+    """coverage_depth of the member h with q = [h^2]_p, from fresh starts."""
+    return coverage_depth(p, h, window_starts(p, (h * h) % p, hp))
+
+
 def _full_range_screen(p, h, hp):
     # the screen without the Phi^0 pre-check: value range over every k,
-    # a~_0 = +-1, and the alternating form below the collision genera
+    # a~_0 = +-1, and the alternating form below the collision genera;
+    # None for a rejection, else the member and its depth, as _screen returns
     h, hp = _screen_member(h, hp)
     m = (h * hp - 1) // p
-    depth = coverage_depth(p, (h * h) % p, h, hp)
+    depth = _depth(p, h, hp)
     if not (m - 1 <= depth.min() and depth.max() <= m + 2):
-        return False
+        return None
     e = reduced_from_depth(depth, h, hp, p // 2 + 1)
     if abs(int(e[0])) != 1:
-        return False
+        return None
     g = int(np.flatnonzero(e)[-1])
-    return 2 * g >= p or is_alternating(e)
+    return (h, depth) if 2 * g >= p or is_alternating(e) else None
+
+
+def _plain(screened):
+    """A screen result as Python data, so that == compares it exactly."""
+    if screened is None:
+        return None
+    hs, depth = screened
+    assert type(hs) is int and depth.dtype == np.int64
+    return hs, depth.tolist()
 
 
 def test_depth_drops_by_one_from_window_zero_to_the_last():
     # Phi^{p-1} = Phi^0 - 1: the start [q*hp]_p = h leaves the window
     for p in range(3, 400):
         for h, hp, _, _ in _class_reps(p):
-            h, hp = _screen_member(h, hp)
-            depth = coverage_depth(p, (h * h) % p, h, hp)
+            depth = _depth(p, *_screen_member(h, hp))
             assert depth[p - 1] == depth[0] - 1, (p, h)
 
 
@@ -141,11 +156,40 @@ def test_screen_precheck_keeps_every_answer(slopes):
     rejected = total = 0
     for p in slopes:
         for h, hp, _, _ in _class_reps(p):
-            passed = _screen(p, h, hp)
-            assert passed == _full_range_screen(p, h, hp), (p, h)
-            rejected += not passed
+            screened = _plain(_screen(p, h, hp))
+            assert screened == _plain(_full_range_screen(p, h, hp)), (p, h)
+            rejected += screened is None
             total += 1
     assert 0 < rejected < total
+
+
+@pytest.mark.parametrize("slopes", [range(2, 401), range(1993, 2002)])
+def test_certify_reads_the_screen_depth_as_built_from_scratch(slopes):
+    # the search certifies a survivor on the depth of the screen's member
+    # hs, [hs^2]_p; every other caller counts the windows of h, [h^2]_p
+    survivors = 0
+    for p in slopes:
+        for h, hp, _, _ in _class_reps(p):
+            screened = _screen(p, h, hp)
+            if screened is None:
+                continue
+            handed = _certify_class(p, h, require_even_d=False, screened=screened)
+            assert handed == _certify_class(p, h, require_even_d=False), (p, h)
+            survivors += 1
+    assert survivors > 0
+
+
+def test_class_reps_match_the_orbit_oracle():
+    # every nontrivial orbit {+-h^{+-1}} once, at its minimum, with its size
+    # and the number of distinct squares in it (h^2 or h^-2)
+    for p in [*range(2, 300), *range(1993, 2002)]:
+        expected = []
+        for h in range(2, p):
+            if gcd(h, p) == 1 and h == min(h_class_set(p, h)):
+                hp = pow(h, -1, p)
+                squares = {h * h % p, hp * hp % p}
+                expected.append((h, hp, len(h_class_set(p, h)), len(squares)))
+        assert list(_class_reps(p)) == expected, p
 
 
 def test_exhaustive_bulk_counts_match_bruteforce():
