@@ -26,11 +26,12 @@ when every D_i equals D_0.  In a search, the reduce stage reads the
 coverage depth that search._screen built; certify builds it.  The stages
 run on the int64 arrays of the alex module (reduced vector, coefficients,
 torsions and their class sums); the bound arith.INT64_P_BOUND keeps them
-exact.  The certificate stores the reduced vector, the coefficients
-a_0..a_g of the polynomial and the torsions as tuples of Python ints, built
-only for a certificate, never for a rejection.
+exact.  A certificate stores only the coefficients a_0..a_g of the polynomial
+(a tuple of Python ints); its reduced vector, torsions, square representative
+and check list are derived from the polynomial and the datum when read.
 """
 
+import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -43,12 +44,13 @@ from .alex import (
     genus_from_reduced,
     is_symmetric,
     os_form_check,  # not called here; perfbench/spans.py wraps this binding
+    reduce_poly,
     reduced_coeffs,
     reduced_torsions,
     torsion_from_poly,
     unreduce,
 )
-from .arith import is_square_mod, mod_inverse
+from .arith import INT64_P_BOUND, is_square_mod, mod_inverse
 from .casson import euler_check, lambda_rustamov
 from .dinv import d_vector, spin_c_c
 
@@ -91,14 +93,12 @@ class SurgeryDatum:
 
 @dataclass(frozen=True)
 class Certificate:
+    """A certified datum and its polynomial; every other reported fact is
+    derived from these fields when it is read."""
     datum: SurgeryDatum
-    q_square: int                   # representative with q_square = h^2 mod p
-    reduced: tuple                  # a~_0 .. a~_{p-1}
     poly: tuple                     # a_0 .. a_g
-    torsions: tuple                 # t_0 .. t_{g-1}
     lambda_pq: Fraction
     lambda_p1: Fraction
-    checks: tuple                   # ((name, True), ...)
     boundary_genus: bool = False    # 2g - 1 = p (only via lift_to_d2)
 
     @property
@@ -112,6 +112,30 @@ class Certificate:
     @property
     def g(self):
         return self.datum.g
+
+    @property
+    def q_square(self):
+        """The representative [h^2]_p of the lens parameter."""
+        return square_rep(self.p, self.datum.h)
+
+    @property
+    def reduced(self):
+        """a~_0 .. a~_{p-1}: the coefficients summed over residue classes mod p."""
+        return tuple(reduce_poly(self.poly, self.p).tolist())
+
+    @property
+    def torsions(self):
+        """Turaev torsions t_0 .. t_{g-1} of the polynomial."""
+        return tuple(torsion_from_poly(self.poly).tolist())
+
+    @property
+    def checks(self):
+        """((name, passed), ...) in pipeline order; a lift checks the bounds last."""
+        last = (("euler", "bounds", "lifted-by-degree-shift") if self.boundary_genus
+                else ("bounds", "euler"))
+        return (("square-test", True), ("os-form", True), ("torsion-positivity", True),
+                ("d-integral", True), ("d-even", self.d % 2 == 0),
+                ("correction-all-i", True), *((name, True) for name in last))
 
 
 @dataclass(frozen=True)
@@ -159,7 +183,7 @@ def _compatible(p: int, q: int, h: int) -> bool:
 
 
 def _reconstruct(p: int, h: int, g=None, screened=None):
-    """Stages reduce and unreduce: (reduced vector, genus, coefficients a_0..a_g).
+    """Stages reduce and unreduce: (genus, coefficients a_0..a_g).
 
     The reduce stage counts the windows of h, or reads the depth of the
     orbit member hs in screened = (hs, depth) from search._screen: the
@@ -173,7 +197,7 @@ def _reconstruct(p: int, h: int, g=None, screened=None):
         raise UnreduceError("reduced coefficients cannot reduce an alternating polynomial")
     if g is None:
         g = genus_from_reduced(e)
-    return e, g, unreduce(e, g)
+    return g, unreduce(e, g)
 
 
 def _forced_d(p: int, h: int, tred: np.ndarray) -> np.ndarray:
@@ -235,7 +259,7 @@ def _certify_class(p, h, require_even_d=True, g=None, screened=None):
     h_canon = canonical_h(p, h)
 
     try:
-        e, g, coeffs = _reconstruct(p, h, g, screened)   # unreduce checks the alternating form
+        g, coeffs = _reconstruct(p, h, g, screened)   # unreduce checks the alternating form
     except UnreduceError as err:
         return Rejection(p, q_canon, h_canon, "os-form", str(err))
 
@@ -274,27 +298,8 @@ def _certify_class(p, h, require_even_d=True, g=None, screened=None):
         return Rejection(p, q_canon, h_canon, "correction-mismatch",
                          "Euler identity fails", derived_d=d)
 
-    checks = (
-        ("square-test", True),
-        ("os-form", True),
-        ("torsion-positivity", True),
-        ("d-integral", True),
-        ("d-even", d % 2 == 0),
-        ("correction-all-i", True),
-        ("bounds", True),
-        ("euler", True),
-    )
     datum = SurgeryDatum(p=p, q=q_canon, h=h_canon, d=d, g=g)
-    return Certificate(
-        datum=datum,
-        q_square=qs,
-        reduced=tuple(e.tolist()),
-        poly=tuple(coeffs.tolist()),
-        torsions=tuple(torsions.tolist()),
-        lambda_pq=lambda_pq,
-        lambda_p1=lambda_p1,
-        checks=checks,
-    )
+    return Certificate(datum, tuple(coeffs.tolist()), lambda_pq, lambda_p1)
 
 
 def lift_to_d2(cert: Certificate) -> Certificate:
@@ -314,9 +319,7 @@ def lift_to_d2(cert: Certificate) -> Certificate:
         raise ValueError(f"lift rejected at stage {lift.stage} ({lift.detail})")
     if lift.d != cert.d + 2:
         raise ValueError(f"lift has d = {lift.d}, not d + 2 = {cert.d + 2}")
-    checks = tuple((name, ok) for name, ok in lift.checks if name != "bounds")
-    checks += (("bounds", True), ("lifted-by-degree-shift", True))
-    return replace(lift, checks=checks, boundary_genus=True)
+    return replace(lift, boundary_genus=True)
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -339,26 +342,20 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> Certificate:
-    """Inverse of certificate_to_json; ValueError on a malformed polynomial,
-    reduced vector or torsion list."""
-    if len(doc["reduced"]) != doc["p"] or len(doc["torsions"]) != doc["g"]:
-        raise ValueError("reduced and torsions must have the modulus p and genus g entries")
-    poly = tuple(doc["coefficients"])
-    if not poly:
-        raise ValueError("empty coefficient list")
-    if not all(type(a) is int for a in (*poly, *doc["reduced"], *doc["torsions"])):
-        raise ValueError("coefficients, reduced and torsions must be integers")
-    if len(poly) > 1 and poly[-1] == 0:
-        raise ValueError("top coefficient must be nonzero")
-    datum = SurgeryDatum(p=doc["p"], q=doc["q"], h=doc["h"], d=doc["d"], g=doc["g"])
-    return Certificate(
-        datum=datum,
-        q_square=doc["q_square"],
-        reduced=tuple(doc["reduced"]),
-        poly=poly,
-        torsions=tuple(doc["torsions"]),
-        lambda_pq=Fraction(*doc["lambda_pq"]),
-        lambda_p1=Fraction(*doc["lambda_p1"]),
-        checks=tuple((c["name"], c["pass"]) for c in doc["checks"]),
-        boundary_genus=doc["boundary_genus"],
-    )
+    """Inverse of certificate_to_json.  Reads the datum, coefficients, lambda
+    values and boundary_genus; ValueError unless the document is exactly the
+    JSON form of the certificate they make, derived fields included."""
+    p, g, coeffs = doc["p"], doc["g"], doc["coefficients"]
+    if not (all(type(x) is int for x in (p, doc["q"], doc["h"], doc["d"], g))
+            and 2 <= p < INT64_P_BOUND):
+        raise ValueError("p, q, h, d and g must be integers, with p in [2, 2**19)")
+    if not (len(coeffs) == g + 1 and coeffs and coeffs[-1] != 0
+            and all(type(a) is int and -1 <= a <= 1 for a in coeffs)):
+        raise ValueError("coefficients must be g + 1 entries in {-1, 0, 1}, the top one nonzero")
+    cert = Certificate(SurgeryDatum(p, doc["q"], doc["h"], doc["d"], g), tuple(coeffs),
+                       Fraction(*doc["lambda_pq"]), Fraction(*doc["lambda_p1"]),
+                       doc["boundary_genus"] is True)
+    if json.dumps(certificate_to_json(cert), sort_keys=True) != json.dumps(doc, sort_keys=True):
+        raise ValueError("the document disagrees with the certificate that its "
+                         "coefficients, modulus and datum give")
+    return cert

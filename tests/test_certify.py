@@ -11,7 +11,6 @@ from lenssurg.alex import (
     dd1,
     genus_from_reduced,
     os_form_check,
-    reduce_poly,
     reduced_coeffs,
     torsion_from_poly,
     unreduce,
@@ -46,6 +45,8 @@ from golden import (
     delta_k1,
     delta_lift,
 )
+
+GOLDEN_CERTS = Path(__file__).parent / "golden_certs"
 
 
 def test_canonicalization():
@@ -123,24 +124,43 @@ def test_certify_symmetry_over_class_reps():
     assert certify(38, 11, 31).datum == base.datum
 
 
+def _torsions_fit(cert):
+    """a_i = t_{i-1} - 2 t_i + t_{i+1} for i >= 1, and dd1 from the torsions."""
+    ts = cert.torsions
+
+    def t(i):
+        i = abs(i)
+        return ts[i] if i < len(ts) else 0
+
+    padded = cert.poly + (0,)
+    return (all(padded[i] == t(i - 1) - 2 * t(i) + t(i + 1) for i in range(1, cert.g + 2))
+            and 2 * (t(0) + 2 * sum(ts[1:])) == dd1(cert.poly))
+
+
 def test_certificate_invariants():
     for p, q, h in [(8, 1, 3), (22, 3, 5), (38, 7, 7), (40, 9, 7), (7, 2, 2)]:
         cert = certify(p, q, h)
-        ts = cert.torsions
-
-        def t(i):
-            i = abs(i)
-            return ts[i] if i < len(ts) else 0
-
-        padded = cert.poly + (0,)
-        for i in range(1, cert.g + 2):
-            assert padded[i] == t(i - 1) - 2 * t(i) + t(i + 1)
-        assert 2 * (t(0) + 2 * sum(ts[1:])) == dd1(cert.poly)
+        assert _torsions_fit(cert)
         # q is the square of some class representative, up to inversion
         squares = {h0 * h0 % p for h0 in h_class_set(p, cert.datum.h)}
         assert any(canonical_q(p, s) == cert.datum.q for s in squares)
-        assert cert.q_square == cert.datum.h ** 2 % p
-        assert tuple(reduce_poly(cert.poly, p).tolist()) == cert.reduced
+
+
+def test_derived_fields_match_the_pipeline_counts():
+    # reduced and torsions are derived from poly; the lattice count that the
+    # pipeline read and the torsions' second differences check them
+    certs = enumerate_search(2, 300, "exhaustive").certificates
+    lifts = [lift_to_d2(c) for c in certs if c.p % 2]
+    assert certs and lifts
+    for cert in certs + lifts:
+        expected = reduced_coeffs(cert.p, cert.q_square, cert.datum.h).tolist()
+        assert cert.reduced == tuple(expected), cert.datum
+        assert _torsions_fit(cert), cert.datum
+
+
+def test_certificate_stores_the_polynomial_once():
+    names = [f.name for f in dataclasses.fields(Certificate)]
+    assert names == ["datum", "poly", "lambda_pq", "lambda_p1", "boundary_genus"]
 
 
 def test_incompatible_pairs_never_certify(monkeypatch):
@@ -288,13 +308,40 @@ def test_certificate_from_json_rejects_malformed_vectors(field, value):
         certificate_from_json(doc)
 
 
+def _moved(entries, i, delta):
+    return entries[:i] + [entries[i] + delta] + entries[i + 1:]
+
+
+@pytest.mark.parametrize("changes", [
+    # the same sum, but no longer the polynomial's reduction
+    pytest.param(lambda d: {"reduced": _moved(_moved(d["reduced"], 1, 1), 2, -1)}, id="reduced"),
+    pytest.param(lambda d: {"torsions": _moved(d["torsions"], 0, 1)}, id="torsion"),
+    pytest.param(lambda d: {"q_square": d["q_square"] + 1}, id="q_square"),
+    pytest.param(lambda d: {"checks": [{**d["checks"][0], "pass": False}, *d["checks"][1:]]},
+                 id="check"),
+    pytest.param(lambda d: {"g": d["g"] - 1, "torsions": d["torsions"][:-1]}, id="genus"),
+    pytest.param(lambda d: {"p": 0}, id="p-zero"),
+    pytest.param(lambda d: {"p": 2**19}, id="p-int64-bound"),
+    pytest.param(lambda d: {"p": "38"}, id="p-string"),
+    pytest.param(lambda d: {"coefficients": [2**70, *d["coefficients"][1:]]}, id="coefficient"),
+])
+def test_certificate_from_json_rejects_an_inconsistent_document(changes):
+    doc = certificate_to_json(certify(38, 7, 7))
+    with pytest.raises(ValueError):
+        certificate_from_json(doc | changes(doc))
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_CERTS.glob("*.json")), ids=lambda p: p.name)
+def test_golden_certificates_read_back_byte_for_byte(path):
+    text = path.read_text()
+    cert = certificate_from_json(json.loads(text))
+    assert json.dumps(certificate_to_json(cert), sort_keys=True) + "\n" == text
+
+
 def test_os_form_of_every_certificate():
     for p, q, h in [(8, 1, 3), (22, 3, 5), (38, 7, 7), (7, 2, 2)]:
         cert = certify(p, q, h)
         assert os_form_check(cert.poly) is not None
-
-
-GOLDEN_CERTS = Path(__file__).parent / "golden_certs"
 
 
 @pytest.mark.parametrize("argv", [
@@ -328,9 +375,13 @@ def test_lift_to_d2_json_golden():
 
 
 def _plain(x):
-    """Python ints, bools and strs, Fractions of ints, and tuples or dataclasses of them."""
+    """Python ints, bools and strs, Fractions of ints, and tuples or dataclasses
+    of them; a certificate's derived fields are walked as well."""
     if dataclasses.is_dataclass(x):
-        return all(_plain(getattr(x, f.name)) for f in dataclasses.fields(x))
+        derived = ("q_square", "reduced", "torsions", "checks") \
+            if isinstance(x, Certificate) else ()
+        names = [f.name for f in dataclasses.fields(x)] + list(derived)
+        return all(_plain(getattr(x, name)) for name in names)
     if isinstance(x, tuple):
         return all(_plain(y) for y in x)
     if type(x) is Fraction:
