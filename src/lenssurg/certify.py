@@ -26,13 +26,14 @@ when every D_i equals D_0.  In a search, the reduce stage reads the
 coverage depth that search._screen built; certify builds it.  The stages
 run on the int64 arrays of the alex module (reduced vector, coefficients,
 torsions and their class sums); the bound arith.INT64_P_BOUND keeps them
-exact.  A certificate stores only the coefficients a_0..a_g of the polynomial
-(a tuple of Python ints); its reduced vector, torsions, square representative
-and check list are derived from the polynomial and the datum when read.
+exact.  A certificate stores only the datum and the coefficients a_0..a_g
+of the polynomial (Python ints); everything else it reports is derived from
+them when read.  _certify_class alone builds one, and certificate_from_json
+reads a document back by re-running the pipeline on its (p, q, h).
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -94,12 +95,9 @@ class SurgeryDatum:
 @dataclass(frozen=True)
 class Certificate:
     """A certified datum and its polynomial; every other reported fact is
-    derived from these fields when it is read."""
+    derived from these two fields when it is read."""
     datum: SurgeryDatum
     poly: tuple                     # a_0 .. a_g
-    lambda_pq: Fraction
-    lambda_p1: Fraction
-    boundary_genus: bool = False    # 2g - 1 = p (only via lift_to_d2)
 
     @property
     def p(self):
@@ -127,6 +125,21 @@ class Certificate:
     def torsions(self):
         """Turaev torsions t_0 .. t_{g-1} of the polynomial."""
         return tuple(torsion_from_poly(self.poly).tolist())
+
+    @property
+    def lambda_pq(self):
+        """Casson-Walker lambda(L(p, [h^2]_p))."""
+        return lambda_rustamov(self.p, self.q_square)
+
+    @property
+    def lambda_p1(self):
+        """Casson-Walker lambda(L(p, 1))."""
+        return lambda_rustamov(self.p, 1)
+
+    @property
+    def boundary_genus(self):
+        """2g - 1 = p: only lift_to_d2 gives it, since certify keeps g <= p // 2."""
+        return 2 * self.g - 1 == self.p
 
     @property
     def checks(self):
@@ -254,8 +267,7 @@ def _certify_class(p, h, require_even_d=True, g=None, screened=None):
     g = (p+1)/2; lift_to_d2 asks for that one.  Only the search passes
     screened, its screen's result for h.
     """
-    qs = square_rep(p, h)
-    q_canon = canonical_q(p, qs)
+    q_canon = canonical_q(p, square_rep(p, h))
     h_canon = canonical_h(p, h)
 
     try:
@@ -292,14 +304,13 @@ def _certify_class(p, h, require_even_d=True, g=None, screened=None):
             return Rejection(p, q_canon, h_canon, "bound-violation",
                              f"(g, d, p) = ({g}, {d}, {p})", derived_d=d)
 
-    lambda_pq, lambda_p1 = lambda_rustamov(p, qs), lambda_rustamov(p, 1)
-    if not euler_check(p, d, lambda_pq, lambda_p1, dd1(coeffs)):
+    cert = Certificate(SurgeryDatum(p=p, q=q_canon, h=h_canon, d=d, g=g),
+                       tuple(coeffs.tolist()))
+    if not euler_check(p, d, cert.lambda_pq, cert.lambda_p1, dd1(coeffs)):
         # implied by the per-i surgery formula; kept as an independent guard
         return Rejection(p, q_canon, h_canon, "correction-mismatch",
                          "Euler identity fails", derived_d=d)
-
-    datum = SurgeryDatum(p=p, q=q_canon, h=h_canon, d=d, g=g)
-    return Certificate(datum, tuple(coeffs.tolist()), lambda_pq, lambda_p1)
+    return cert
 
 
 def lift_to_d2(cert: Certificate) -> Certificate:
@@ -319,7 +330,7 @@ def lift_to_d2(cert: Certificate) -> Certificate:
         raise ValueError(f"lift rejected at stage {lift.stage} ({lift.detail})")
     if lift.d != cert.d + 2:
         raise ValueError(f"lift has d = {lift.d}, not d + 2 = {cert.d + 2}")
-    return replace(lift, boundary_genus=True)
+    return lift
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -342,20 +353,23 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> Certificate:
-    """Inverse of certificate_to_json.  Reads the datum, coefficients, lambda
-    values and boundary_genus; ValueError unless the document is exactly the
-    JSON form of the certificate they make, derived fields included."""
-    p, g, coeffs = doc["p"], doc["g"], doc["coefficients"]
-    if not (all(type(x) is int for x in (p, doc["q"], doc["h"], doc["d"], g))
-            and 2 <= p < INT64_P_BOUND):
-        raise ValueError("p, q, h, d and g must be integers, with p in [2, 2**19)")
-    if not (len(coeffs) == g + 1 and coeffs and coeffs[-1] != 0
-            and all(type(a) is int and -1 <= a <= 1 for a in coeffs)):
-        raise ValueError("coefficients must be g + 1 entries in {-1, 0, 1}, the top one nonzero")
-    cert = Certificate(SurgeryDatum(p, doc["q"], doc["h"], doc["d"], g), tuple(coeffs),
-                       Fraction(*doc["lambda_pq"]), Fraction(*doc["lambda_p1"]),
-                       doc["boundary_genus"] is True)
-    if json.dumps(certificate_to_json(cert), sort_keys=True) != json.dumps(doc, sort_keys=True):
-        raise ValueError("the document disagrees with the certificate that its "
-                         "coefficients, modulus and datum give")
+    """Inverse of certificate_to_json: re-runs the pipeline on p, q and h
+    (ints, p in [2, 2**19)), as certify with odd d allowed, then lift_to_d2
+    when boundary_genus is true.  ValueError unless the document is exactly
+    that certificate's JSON form."""
+    try:
+        p, q, h, lift = doc["p"], doc["q"], doc["h"], doc["boundary_genus"] is True
+        text = json.dumps(doc, sort_keys=True)
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"not a certificate document ({err!r})") from err
+    if not (all(type(x) is int for x in (p, q, h)) and 2 <= p < INT64_P_BOUND):
+        raise ValueError("p, q and h must be integers, with p in [2, 2**19)")
+    cert = certify(p, q, h, require_even_d=False)
+    if isinstance(cert, Rejection):
+        raise ValueError(f"({p}, {q}, {h}) is rejected at stage {cert.stage}")
+    if lift:
+        cert = lift_to_d2(cert)
+    if json.dumps(certificate_to_json(cert), sort_keys=True) != text:
+        raise ValueError("the document disagrees with the certificate that the "
+                         "pipeline derives from its modulus, q and h")
     return cert

@@ -29,14 +29,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .alex import coverage_depth, is_alternating, reduced_from_depth, window_starts
-from .certify import (
-    Certificate,
-    Rejection,
-    _certify_class,
-    canonical_h,
-    canonical_q,
-    h_class_set,
-)
+from .certify import Certificate, _certify_class, canonical_q, certify, h_class_set
 
 __all__ = [
     "SearchReport",
@@ -282,18 +275,13 @@ def families(l_min: int, l_max: int) -> list:
             if ell == 0:
                 continue
             p = a * ell * ell + b * ell + c
-            if p < 2 or gcd(u * ell + v, p) != 1:
-                out.append(FamilyInstance(spec.label, ell, p,
-                                          Rejection(p, 0, (u * ell + v) % p,
-                                                    "coprimality"), False))
-                continue
-            h = canonical_h(p, u * ell + v)
-            result = _certify_class(p, h)
+            h = u * ell + v
+            result = certify(p, h * h, h)
             genus_ok = (isinstance(result, Certificate)
                         and 2 * result.g == rule(p, ell))
             out.append(FamilyInstance(spec.label, ell, p, result, genus_ok))
     label, p, q, h, g = SPORADIC_FAMILY
-    result = _certify_class(p, canonical_h(p, h))
+    result = certify(p, q, h)
     genus_ok = (isinstance(result, Certificate)
                 and result.g == g and result.datum.q == q)
     out.append(FamilyInstance(label, None, p, result, genus_ok))
@@ -366,18 +354,16 @@ def conjecture_check(cert: Certificate):
 
 def plotdata(report: SearchReport, d: int) -> list:
     """Points (h_min, p), one per certificate with the given d, sorted by p."""
-    pts = [(c.datum.h, c.p) for c in report.certificates if c.d == d]
+    pts = [(c.datum.h, c.p) for c in report.certs_with_d(d)]
     pts.sort(key=lambda t: (t[1], t[0]))
     return pts
 
 
 def report_csv(report: SearchReport, d=None) -> str:
     """Certificate rows as `p,q,h,g` CSV (sorted, trailing newline)."""
+    certs = report.certificates if d is None else report.certs_with_d(d)
     lines = ["p,q,h,g"]
-    for c in report.certificates:
-        if d is not None and c.d != d:
-            continue
-        lines.append(f"{c.p},{c.datum.q},{c.datum.h},{c.g}")
+    lines.extend(f"{c.p},{c.datum.q},{c.datum.h},{c.g}" for c in certs)
     return "\n".join(lines) + "\n"
 
 

@@ -11,11 +11,13 @@ from lenssurg.alex import (
     dd1,
     genus_from_reduced,
     os_form_check,
+    reduce_poly,
     reduced_coeffs,
     torsion_from_poly,
     unreduce,
 )
 from lenssurg.arith import is_square_mod
+from lenssurg.casson import lambda_dedekind
 from lenssurg.certify import (
     Certificate,
     Rejection,
@@ -148,7 +150,8 @@ def test_certificate_invariants():
 
 def test_derived_fields_match_the_pipeline_counts():
     # reduced and torsions are derived from poly; the lattice count that the
-    # pipeline read and the torsions' second differences check them
+    # pipeline read and the torsions' second differences check them.  The
+    # boundary genus marks exactly the lifts, and lambda matches Dedekind sums.
     certs = enumerate_search(2, 300, "exhaustive").certificates
     lifts = [lift_to_d2(c) for c in certs if c.p % 2]
     assert certs and lifts
@@ -156,11 +159,14 @@ def test_derived_fields_match_the_pipeline_counts():
         expected = reduced_coeffs(cert.p, cert.q_square, cert.datum.h).tolist()
         assert cert.reduced == tuple(expected), cert.datum
         assert _torsions_fit(cert), cert.datum
+        assert cert.lambda_pq == lambda_dedekind(cert.p, cert.q_square), cert.datum
+    assert not any(c.boundary_genus for c in certs)
+    assert all(c.boundary_genus for c in lifts)
 
 
 def test_certificate_stores_the_polynomial_once():
     names = [f.name for f in dataclasses.fields(Certificate)]
-    assert names == ["datum", "poly", "lambda_pq", "lambda_p1", "boundary_genus"]
+    assert names == ["datum", "poly"]
 
 
 def test_incompatible_pairs_never_certify(monkeypatch):
@@ -312,23 +318,49 @@ def _moved(entries, i, delta):
     return entries[:i] + [entries[i] + delta] + entries[i + 1:]
 
 
-@pytest.mark.parametrize("changes", [
+def _another_polynomial(doc):
+    """A different alternating polynomial of the same genus, with the reduced
+    vector and torsions that it gives."""
+    poly = (1,) + (0,) * (doc["g"] - 2) + (-1, 1)
+    assert poly != tuple(doc["coefficients"]) and os_form_check(poly)
+    return doc | {"coefficients": list(poly), "reduced": reduce_poly(poly, doc["p"]).tolist(),
+                  "torsions": torsion_from_poly(poly).tolist()}
+
+
+@pytest.mark.parametrize("forge", [
     # the same sum, but no longer the polynomial's reduction
-    pytest.param(lambda d: {"reduced": _moved(_moved(d["reduced"], 1, 1), 2, -1)}, id="reduced"),
-    pytest.param(lambda d: {"torsions": _moved(d["torsions"], 0, 1)}, id="torsion"),
-    pytest.param(lambda d: {"q_square": d["q_square"] + 1}, id="q_square"),
-    pytest.param(lambda d: {"checks": [{**d["checks"][0], "pass": False}, *d["checks"][1:]]},
+    pytest.param(lambda d: d | {"reduced": _moved(_moved(d["reduced"], 1, 1), 2, -1)},
+                 id="reduced"),
+    pytest.param(lambda d: d | {"torsions": _moved(d["torsions"], 0, 1)}, id="torsion"),
+    pytest.param(lambda d: d | {"q_square": d["q_square"] + 1}, id="q_square"),
+    pytest.param(lambda d: d | {"checks": [{**d["checks"][0], "pass": False}, *d["checks"][1:]]},
                  id="check"),
-    pytest.param(lambda d: {"g": d["g"] - 1, "torsions": d["torsions"][:-1]}, id="genus"),
-    pytest.param(lambda d: {"p": 0}, id="p-zero"),
-    pytest.param(lambda d: {"p": 2**19}, id="p-int64-bound"),
-    pytest.param(lambda d: {"p": "38"}, id="p-string"),
-    pytest.param(lambda d: {"coefficients": [2**70, *d["coefficients"][1:]]}, id="coefficient"),
+    pytest.param(lambda d: d | {"g": d["g"] - 1, "torsions": d["torsions"][:-1]}, id="genus"),
+    pytest.param(lambda d: d | {"p": 0}, id="p-zero"),
+    pytest.param(lambda d: d | {"p": 2**19}, id="p-int64-bound"),
+    pytest.param(lambda d: d | {"p": "38"}, id="p-string"),
+    pytest.param(lambda d: d | {"coefficients": [2**70, *d["coefficients"][1:]]},
+                 id="coefficient"),
+    # consistent with the polynomial, but not what the pipeline derives
+    pytest.param(lambda d: d | {"d": d["d"] + 2}, id="d-plus-2"),
+    pytest.param(lambda d: d | {"d": d["d"] - 2}, id="d-minus-2"),
+    pytest.param(lambda d: d | {"lambda_pq": [1, 3]}, id="lambda-value"),
+    pytest.param(lambda d: d | {"q": 3}, id="q-not-the-square-class"),
+    pytest.param(_another_polynomial, id="another-alternating-polynomial"),
+    pytest.param(lambda d: d | {"boundary_genus": True}, id="lift-at-even-p"),
+    # malformed: each of these once escaped as another exception type
+    pytest.param(lambda d: d | {"lambda_pq": [1, 0]}, id="lambda-zero-denominator"),
+    pytest.param(lambda d: d | {"lambda_pq": [1.5, 2]}, id="lambda-float"),
+    pytest.param(lambda d: list(d.items()), id="list-document"),
+    pytest.param(lambda d: {k: v for k, v in d.items() if k != "p"}, id="missing-p"),
+    pytest.param(lambda d: {k: v for k, v in d.items() if k != "boundary_genus"},
+                 id="missing-boundary-genus"),
+    pytest.param(lambda d: d | {"torsions": set(d["torsions"])}, id="set-entry"),
 ])
-def test_certificate_from_json_rejects_an_inconsistent_document(changes):
+def test_certificate_from_json_rejects_an_inconsistent_document(forge):
     doc = certificate_to_json(certify(38, 7, 7))
     with pytest.raises(ValueError):
-        certificate_from_json(doc | changes(doc))
+        certificate_from_json(forge(doc))
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN_CERTS.glob("*.json")), ids=lambda p: p.name)
@@ -378,8 +410,8 @@ def _plain(x):
     """Python ints, bools and strs, Fractions of ints, and tuples or dataclasses
     of them; a certificate's derived fields are walked as well."""
     if dataclasses.is_dataclass(x):
-        derived = ("q_square", "reduced", "torsions", "checks") \
-            if isinstance(x, Certificate) else ()
+        derived = ("q_square", "reduced", "torsions", "checks", "lambda_pq", "lambda_p1",
+                   "boundary_genus") if isinstance(x, Certificate) else ()
         names = [f.name for f in dataclasses.fields(x)] + list(derived)
         return all(_plain(getattr(x, name)) for name in names)
     if isinstance(x, tuple):
@@ -407,6 +439,7 @@ def test_no_numpy_scalars_leak(monkeypatch):
     assert {r.detail.startswith("g + 2d") for r in bound_violations} == {True, False}
     for obj in rep.certificates + lifts + bound_violations:
         assert _plain(obj), obj
+    monkeypatch.undo()   # the JSON reader re-runs the pipeline on the true terms
     for cert in rep.certificates + lifts:
         assert type(cert.d) is int and type(cert.g) is int
         text = json.dumps(certificate_to_json(cert))   # no default= needed
