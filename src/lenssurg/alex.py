@@ -14,7 +14,11 @@ numpy arrays: a reduced vector a~_0..a~_{p-1}, coefficients a_0..a_g and
 torsions t_0..t_{g-1} (dd1 returns a Python int).  They are exact for p
 below arith.INT64_P_BOUND.  is_alternating and os_form_check take any
 coefficient sequence a_0..a_g, an array or the tuple of Python ints that a
-certificate stores.
+certificate stores.  These per-candidate stages call the ufunc loops directly
+(np.add.accumulate, np.add.reduce, np.count_nonzero, ndarray.nonzero), not
+np.cumsum, .sum(), np.array_equal, .any() or np.flatnonzero: on the arrays
+of a few hundred entries that each search candidate builds, those Python
+wrappers cost more than the loop they call.
 """
 
 from math import gcd
@@ -83,7 +87,7 @@ def coverage_depth(p: int, h: int, starts: np.ndarray) -> np.ndarray:
     whose start is at most m, extended by C(m + p) = C(m) + hp, that makes
     Phi^k = C(k + h) - C(k): one cumulative count in integer numpy ops.
     """
-    c = np.cumsum(np.bincount(starts, minlength=p))
+    c = np.add.accumulate(np.bincount(starts, minlength=p))
     return np.concatenate((c[h:], c[:h] + len(starts))) - c
 
 
@@ -117,7 +121,7 @@ def reduced_coeffs(p: int, q: int, h: int, *, depth=None) -> np.ndarray:
 def is_symmetric(e) -> bool:
     """Entry i equals entry p - i for every i in Z/p."""
     e = np.asarray(e)
-    return bool(np.array_equal(e[1:], e[:0:-1]))
+    return not np.count_nonzero(e[1:] != e[:0:-1])
 
 
 def is_alternating(coeffs) -> bool:
@@ -127,7 +131,7 @@ def is_alternating(coeffs) -> bool:
     if a.size == 0 or a[0] == 0:
         return False
     nonzero = a[a != 0]   # alternating: each is minus the next, the top one +1
-    return bool(nonzero[-1] == 1 and not (nonzero[1:] + nonzero[:-1]).any())
+    return bool(nonzero[-1] == 1 and not np.count_nonzero(nonzero[1:] + nonzero[:-1]))
 
 
 def os_form_check(coeffs):
@@ -147,7 +151,7 @@ def os_form_check(coeffs):
 def genus_from_reduced(e) -> int:
     """Largest index in {0, ..., floor(p/2)} carrying a nonzero entry."""
     e = np.asarray(e)
-    return int(np.flatnonzero(e[:len(e) // 2 + 1])[-1])
+    return int(e[:len(e) // 2 + 1].nonzero()[0][-1])
 
 
 def unreduce(e, g: int) -> np.ndarray:
@@ -176,9 +180,9 @@ def unreduce(e, g: int) -> np.ndarray:
         coeffs[g] //= 2
     if coeffs[-1] == 0:
         raise UnreduceError("reconstructed top coefficient vanishes")
-    if coeffs[0] + 2 * coeffs[1:].sum() != 1:
+    if coeffs[0] + 2 * np.add.reduce(coeffs[1:]) != 1:
         raise UnreduceError("reconstructed polynomial does not evaluate to 1 at t=1")
-    if not np.array_equal(reduce_poly(coeffs, p), e):
+    if np.count_nonzero(reduce_poly(coeffs, p) != e):
         raise UnreduceError("reconstruction does not reduce back to the input")
     if not is_alternating(coeffs):
         raise UnreduceError("reconstructed polynomial is not in alternating form")
@@ -199,7 +203,7 @@ def reduce_poly(coeffs, p: int) -> np.ndarray:
     full = np.zeros(-(-(lead + 2 * n) // p) * p, dtype=np.int64)
     full[lead:lead + n - 1] = x[:0:-1]
     full[lead + n - 1:lead + 2 * n - 1] = x
-    return full.reshape(-1, p).sum(axis=0)
+    return np.add.reduce(full.reshape(-1, p))
 
 
 def torsion_from_poly(coeffs) -> np.ndarray:
@@ -210,11 +214,11 @@ def torsion_from_poly(coeffs) -> np.ndarray:
     Computed with suffix sums in O(g).
     """
     a = np.asarray(coeffs, dtype=np.int64)
-    if a[0] + 2 * a[1:].sum() != 1:
+    if a[0] + 2 * np.add.reduce(a[1:]) != 1:
         raise ValueError("polynomial is not normalized: Delta(1) != 1")
     j = np.arange(len(a), dtype=np.int64)
-    s1 = np.cumsum(a[:0:-1])[::-1]          # s1[i] = sum of a_j for j > i
-    s2 = np.cumsum((j * a)[:0:-1])[::-1]    # s2[i] = sum of j*a_j for j > i
+    s1 = np.add.accumulate(a[:0:-1])[::-1]          # s1[i] = sum of a_j for j > i
+    s2 = np.add.accumulate((j * a)[:0:-1])[::-1]    # s2[i] = sum of j*a_j for j > i
     return s2 - j[:-1] * s1
 
 

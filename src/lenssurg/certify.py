@@ -219,9 +219,9 @@ def _forced_d(p: int, h: int, tred: np.ndarray) -> np.ndarray:
     D_i is 4p times the d that the surgery formula forces at i.  The scaled
     terms N are those of L(p, [h^2]_p), read at Q(i) = [h*i + c]_p.
     """
-    n = d_vector(p, square_rep(p, h))
-    i = np.arange(p, dtype=np.int64)
-    return 8 * p * tred + n[(h * i + spin_c_c(h, p)) % p] - (2 * i - p) ** 2 + p
+    n, c = d_vector(p, square_rep(p, h)), spin_c_c(h, p)
+    q_of_i = np.arange(c, c + h * p, h, dtype=np.int64) % p   # [h*i + c]_p, h >= 1
+    return 8 * p * tred + n[q_of_i] - np.arange(-p, p, 2, dtype=np.int64) ** 2 + p
 
 
 def bounds_check(g: int, d: int, p: int) -> bool:
@@ -276,7 +276,7 @@ def _certify_class(p, h, require_even_d=True, g=None, screened=None):
         return Rejection(p, q_canon, h_canon, "os-form", str(err))
 
     torsions = torsion_from_poly(coeffs)
-    if (torsions < 0).any():
+    if np.count_nonzero(torsions < 0):
         return Rejection(p, q_canon, h_canon, "negative-torsion",
                          f"t = {tuple(torsions.tolist())}")
 
@@ -291,7 +291,7 @@ def _certify_class(p, h, require_even_d=True, g=None, screened=None):
         return Rejection(p, q_canon, h_canon, "odd-d",
                          f"derived d = {d}", derived_d=d)
 
-    bad = np.flatnonzero(forced != scaled_d)
+    bad = (forced != scaled_d).nonzero()[0]
     if bad.size:
         return Rejection(p, q_canon, h_canon, "correction-mismatch",
                          f"surgery formula fails at i = {bad[0]}", derived_d=d)

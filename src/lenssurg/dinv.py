@@ -12,9 +12,11 @@ General (p,q) values come from the Euclidean recursion of Ozsvath-Szabo
     N(p, q, i) = ((2i + 1 - p - q)^2 - pq - p * N(q, p mod q, i mod q)) / q
 
 with base case N(1, 0, 0) = 0, indices always reduced into [0, modulus).
-d_vector evaluates one level as int64 numpy operations over one arange i,
-reading the lower level at i mod q, with a single np.divmod; the division
-is exact, and a remainder raises ArithmeticError.
+d_vector evaluates one level in int64 numpy operations: 2i + 1 - p - q is one
+strided arange, the lower level is read at i mod q by writing it row after
+row into a (ceil(p/q), q) block (no int64 remainder of i), and the level is
+the floor quotient by the scalar q.  The division is exact: a nonzero
+remainder, numerator minus q times the quotient, raises ArithmeticError.
 int64 is exact for p below arith.INT64_P_BOUND, and d_vector raises
 Int64BoundError above it.  d_lens gives the Fraction value N / (4p).  The
 relabeling Q(i) = [h*i + c]_p of Spin^c structures takes its shift c from
@@ -47,11 +49,11 @@ def d_vector(p: int, q: int) -> np.ndarray:
     else:
         if not 0 < q < p or gcd(p, q) != 1:
             raise ValueError(f"bad lens parameters ({p}, {q})")
-        lower = np.asarray(d_vector(q, p % q), dtype=np.int64)
-        i = np.arange(p, dtype=np.int64)
-        s = 2 * i + (1 - p - q)
-        out, rem = np.divmod(s * s - p * q - p * lower[i % q], q)
-        if rem.any():
+        ext = np.empty(-(-p // q) * q, dtype=np.int64)   # the lower level, periodic mod q
+        ext.reshape(-1, q)[:] = d_vector(q, p % q)
+        num = np.arange(1 - p - q, p + 1 - q, 2, dtype=np.int64) ** 2 - p * (q + ext[:p])
+        out = num // q
+        if np.count_nonzero(num - out * q):
             raise ArithmeticError(f"correction terms of L({p},{q}) are not in (1/4p)Z")
     out.flags.writeable = False
     return out

@@ -118,7 +118,7 @@ def _screen(p, h, hp):
     e = reduced_from_depth(depth, h, hp, p // 2 + 1)   # a~_0 .. a~_{p/2}
     if abs(int(e[0])) != 1:
         return None
-    g = int(np.flatnonzero(e)[-1])
+    g = int(e.nonzero()[0][-1])
     return (h, depth) if 2 * g >= p or is_alternating(e) else None
 
 

@@ -18,6 +18,7 @@ from lenssurg.alex import (
     reduced_coeffs,
     torsion_from_poly,
     unreduce,
+    window_starts,
 )
 from lenssurg.certify import h_class_set
 from golden import DELTA_K2, DELTA_K6, TREFOIL, delta_k1, delta_lift
@@ -39,6 +40,14 @@ def test_phi_total_mass():
     for p, q, h in [(8, 1, 3), (22, 3, 5), (13, 9, 3), (11, 4, 2)]:
         hp = pow(h, -1, p)
         assert sum(phi(p, q, h, k) for k in range(p)) == h * hp
+
+
+def test_zero_step_edges():
+    # q = 0 and h = 0 make the step of i -> q*i (or h*i) zero, where a
+    # strided arange would raise; these stay on the multiply form
+    assert window_starts(1, 0, 1).tolist() == [0]
+    assert window_starts(5, 0, 3).tolist() == [0, 0, 0]
+    assert reduced_coeffs(1, 0, 0).tolist() == [1]
 
 
 def test_reduced_coeffs_anchor():
@@ -225,6 +234,33 @@ def test_reduce_poly_matches_add_at_oracle(coeffs, p):
     out = reduce_poly(coeffs, p)
     assert out.dtype == np.int64
     assert out.tolist() == oracle.tolist()
+
+
+@given(st.lists(st.integers(-2, 2), max_size=40), st.booleans())
+def test_is_symmetric_matches_loop(half, mirror):
+    e = half + half[:0:-1] if mirror else half   # mirrored: e[i] = e[-i]
+    assert is_symmetric(np.array(e, dtype=np.int64)) == all(
+        e[i] == e[(len(e) - i) % len(e)] for i in range(len(e)))
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=300))
+def test_genus_from_reduced_matches_loop(e):
+    support = [i for i in range(len(e) // 2 + 1) if e[i]]
+    if support:
+        assert genus_from_reduced(np.array(e, dtype=np.int64)) == support[-1]
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=300), st.integers(-3, 3))
+def test_torsion_from_poly_matches_loop(tail, skew):
+    a = [1 - 2 * sum(tail) + skew] + tail      # Delta(1) = 1 + skew
+    if skew:
+        with pytest.raises(ValueError):
+            torsion_from_poly(a)
+        return
+    t = torsion_from_poly(a)
+    assert t.dtype == np.int64
+    assert t.tolist() == [sum((j - i) * a[j] for j in range(i + 1, len(a)))
+                          for i in range(len(a) - 1)]
 
 
 @given(_COEFFS)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from random import Random
 
 import numpy as np
 import pytest
@@ -34,6 +35,30 @@ def test_scaled_terms_match_fraction_recursion():
             n = d_vector(p, q)
             assert n.dtype == np.int64 and not n.flags.writeable, (p, q)
             assert tuple(Fraction(x, 4 * p) for x in n.tolist()) == fraction_d_vector(p, q), (p, q)
+
+
+@lru_cache(maxsize=None)
+def int_d_vector(p, q):
+    """Oracle: the scaled recursion N = ((2i+1-p-q)^2 - pq - p * N_lower[i mod q]) / q
+    on Python ints, one i at a time."""
+    if p == 1 and q == 0:
+        return (0,)
+    lower = int_d_vector(q, p % q)
+    out = []
+    for i in range(p):
+        num = (2 * i + 1 - p - q) ** 2 - p * q - p * lower[i % q]
+        assert num % q == 0, (p, q, i)
+        out.append(num // q)
+    return tuple(out)
+
+
+def test_scaled_terms_match_integer_recursion_at_large_p():
+    # above p = 160 a level spans many periods ceil(p/q) of the level below
+    rng = Random(2001)
+    for p in (1993, 2000, 2001):
+        coprime = [q for q in range(1, p) if gcd(p, q) == 1]
+        for q in sorted({1, 2, 3, p - 2, p - 1} & set(coprime)) + rng.sample(coprime, 12):
+            assert tuple(d_vector(p, q).tolist()) == int_d_vector(p, q), (p, q)
 
 
 def test_inexact_division_raises(monkeypatch):

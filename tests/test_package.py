@@ -1,6 +1,11 @@
+import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -8,6 +13,7 @@ import pytest
 
 import lenssurg
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lenssurg.__path__)
                  if m.name != "__main__")
 
@@ -43,7 +49,7 @@ def test_names_live_in_their_modules():
 
 def _spans():
     """perfbench/spans.py, the recorder of the traced benchmark run."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -80,3 +86,54 @@ def test_traced_search_reaches_the_benchmark_bindings(monkeypatch, tmp_path):
               "alex.dd1", "casson.lambda_rustamov")
     assert [n for n in layers if not totals["calls"][n]] == []
     assert 0 < totals["counts"]["search.screen.pass"] < totals["calls"]["search.screen"]
+
+
+# numpy's Python-level helpers cost more per call than the ufunc loop they
+# wrap on the arrays of a few hundred entries that every search candidate
+# builds (np.cumsum 2.0 us against np.add.accumulate 0.6 us, a.any() 1.0 us
+# against np.count_nonzero 0.3 us, at 100 entries); the per-candidate
+# modules call np.add.accumulate, np.add.reduce, np.count_nonzero and
+# ndarray.nonzero instead
+_NP_HELPERS = {"cumsum", "flatnonzero", "array_equal"}   # called as np.<name>
+_ANY_HELPERS = {"any", "all", "sum"}   # as np.<name> or as an array method
+
+
+def test_hot_path_calls_no_numpy_python_helpers():
+    found = []
+    for name in ("alex", "dinv", "search", "certify"):
+        path = ROOT / "src" / "lenssurg" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            attr, owner = node.func.attr, node.func.value
+            if (attr in _ANY_HELPERS
+                    or attr in _NP_HELPERS and isinstance(owner, ast.Name) and owner.id == "np"):
+                found.append(f"{name}.py:{node.lineno} {ast.unparse(node.func)}")
+    assert found == []
+
+
+def _lenssurg_file_under_pytest(tmp_path, pythonpath):
+    """lenssurg.__file__ after pytest runs one of this suite's tests in a
+    fresh interpreter, with PYTHONPATH set to pythonpath (unset if None)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if pythonpath is not None:
+        env["PYTHONPATH"] = pythonpath
+    test = f"{ROOT / 'tests' / 'test_package.py'}::test_names_live_in_their_modules"
+    code = ("import sys, pytest\n"
+            f"rc = pytest.main([{test!r}, '-q', '-p', 'no:cacheprovider'])\n"
+            "print(sys.modules['lenssurg'].__file__)\n"
+            "sys.exit(rc)\n")
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    return Path(run.stdout.splitlines()[-1]).resolve()
+
+
+def test_pythonpath_selects_the_code_under_test(tmp_path):
+    # PYTHONPATH=<other checkout>/src pytest <this checkout>/tests must test
+    # the other checkout's code; without PYTHONPATH, this checkout's src
+    copy = tmp_path / "other" / "src"
+    shutil.copytree(ROOT / "src" / "lenssurg", copy / "lenssurg",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert copy.resolve() in _lenssurg_file_under_pytest(tmp_path, str(copy)).parents
+    assert ROOT / "src" in _lenssurg_file_under_pytest(tmp_path, None).parents
