@@ -18,7 +18,11 @@ certificate stores.  These per-candidate stages call the ufunc loops directly
 (np.add.accumulate, np.add.reduce, np.count_nonzero, ndarray.nonzero), not
 np.cumsum, .sum(), np.array_equal, .any() or np.flatnonzero: on the arrays
 of a few hundred entries that each search candidate builds, those Python
-wrappers cost more than the loop they call.
+wrappers cost more than the loop they call.  For the same reason the two
+residue progressions of the screen, the window starts [qj]_p and the indices
+[hi + c]_p of reduced_from_depth, are each one strided np.arange and one % p,
+not a scaled arange; a zero step (q = 0, or h = 0 at p = 1) takes a branch
+that builds the same constant array.
 """
 
 from math import gcd
@@ -71,10 +75,14 @@ def phi(p: int, q: int, h: int, k: int) -> int:
 def window_starts(p: int, q: int, hp: int) -> np.ndarray:
     """The window starts [qj]_p for j in [1, hp], as an int64 array.
 
-    Exact while p^2 < 2^63 (checked against arith.INT64_P_BOUND).
+    The progression q, 2q, ..., q*hp is one strided arange; q = 0 has no
+    stride, so it gives hp zeros directly.  Exact while p^2 < 2^63 and
+    |q| < p (p checked against arith.INT64_P_BOUND).
     """
     check_int64_bound(p)
-    return (q * np.arange(1, hp + 1, dtype=np.int64)) % p
+    if q == 0:
+        return np.zeros(hp, dtype=np.int64)
+    return np.arange(q, q * (hp + 1), q, dtype=np.int64) % p
 
 
 def coverage_depth(p: int, h: int, starts: np.ndarray) -> np.ndarray:
@@ -95,10 +103,16 @@ def reduced_from_depth(depth: np.ndarray, h: int, hp: int, count: int) -> np.nda
     """a~_i = -m + Phi^{hi+c}(h) for i in [0, count), read off coverage_depth.
 
     h and hp = [h^{-1}]_p are the ones the depth was built with, p is its
-    length, and m = (h*hp - 1)/p, c = dinv.spin_c_c(h, p).
+    length, and m = (h*hp - 1)/p, c = dinv.spin_c_c(h, p).  The residues
+    hi + c are one strided arange; h = 0 (only at p = 1) has no stride, so it
+    reads depth at c for every i.
     """
     p = len(depth)
-    k = (h * np.arange(count, dtype=np.int64) + spin_c_c(h, p)) % p
+    c = spin_c_c(h, p)
+    if h:
+        k = np.arange(c, c + h * count, h, dtype=np.int64) % p
+    else:
+        k = np.full(count, c, dtype=np.int64)
     return depth[k] - (h * hp - 1) // p
 
 

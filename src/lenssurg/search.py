@@ -29,6 +29,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .alex import coverage_depth, is_alternating, reduced_from_depth, window_starts
+from .arith import check_int64_bound
 from .certify import Certificate, _certify_class, canonical_q, certify, h_class_set
 
 __all__ = [
@@ -168,6 +169,7 @@ def enumerate_search(p_min: int, p_max: int, mode: str = "square",
         raise ValueError(f"unknown mode {mode!r}")
     if not 2 <= p_min <= p_max:
         raise ValueError(f"bad range [{p_min}, {p_max}]")
+    check_int64_bound(p_max)
     report = SearchReport(p_min=p_min, p_max=p_max, mode=mode)
     results = _map_over_p(range(p_min, p_max + 1), mode, threads)
     for certs, rejections, d_hist, trivial in results:
@@ -189,13 +191,16 @@ def _map_over_p(ps, mode, threads):
         import multiprocessing as mp
 
         try:
-            with mp.get_context("fork").Pool(threads) as pool:
-                # map returns results in input order, whatever the scheduling
-                return pool.map(_worker, [(p, mode) for p in ps], chunksize=32)
+            pool = mp.get_context("fork").Pool(threads)
         except (OSError, ValueError) as err:
-            # e.g. sandboxed environments without fork support
+            # e.g. sandboxed environments without fork support; a worker's own
+            # error is not caught here, so it surfaces once, from the pool
             warnings.warn(f"process pool failed ({err!r}); searching serially",
                           RuntimeWarning, stacklevel=3)
+        else:
+            with pool:
+                # map returns results in input order, whatever the scheduling
+                return pool.map(_worker, [(p, mode) for p in ps], chunksize=32)
     return [_search_one_p(p, mode) for p in ps]
 
 

@@ -16,11 +16,13 @@ from lenssurg.alex import (
     phi,
     reduce_poly,
     reduced_coeffs,
+    reduced_from_depth,
     torsion_from_poly,
     unreduce,
     window_starts,
 )
 from lenssurg.certify import h_class_set
+from lenssurg.dinv import spin_c_c
 from golden import DELTA_K2, DELTA_K6, TREFOIL, delta_k1, delta_lift
 
 ONE = (1,)
@@ -44,7 +46,8 @@ def test_phi_total_mass():
 
 def test_zero_step_edges():
     # q = 0 and h = 0 make the step of i -> q*i (or h*i) zero, where a
-    # strided arange would raise; these stay on the multiply form
+    # strided arange would raise; window_starts and reduced_from_depth build
+    # these constant progressions on a branch of their own
     assert window_starts(1, 0, 1).tolist() == [0]
     assert window_starts(5, 0, 3).tolist() == [0, 0, 0]
     assert reduced_coeffs(1, 0, 0).tolist() == [1]
@@ -266,6 +269,40 @@ def test_torsion_from_poly_matches_loop(tail, skew):
 @given(_COEFFS)
 def test_dd1_matches_python_sum(coeffs):
     assert dd1(coeffs) == 2 * sum(i * i * a for i, a in enumerate(coeffs))
+
+
+@st.composite
+def _window_args(draw):
+    p = draw(st.integers(1, 3000))
+    return p, draw(st.integers(1 - p, p - 1)), draw(st.integers(0, p))
+
+
+@given(_window_args())
+def test_window_starts_matches_loop(args):
+    p, q, hp = args
+    starts = window_starts(p, q, hp)
+    assert starts.dtype == np.int64
+    assert starts.tolist() == [(q * j) % p for j in range(1, hp + 1)]
+
+
+@st.composite
+def _coprime_pair(draw):
+    p = draw(st.integers(1, 3000))
+    h = draw(st.integers(0, p - 1).filter(lambda h: gcd(h, p) == 1))
+    return p, h
+
+
+@given(_coprime_pair(), st.booleans(), st.randoms(use_true_random=False))
+def test_reduced_from_depth_matches_loop(pair, half, rng):
+    # any depth vector will do: the kernel only reads it at [h*i + c]_p
+    p, h = pair
+    hp = pow(h, -1, p) if p > 1 else 0
+    count = p // 2 + 1 if half else p
+    depth = [rng.randrange(-5, 6) for _ in range(p)]
+    c, m = spin_c_c(h, p), (h * hp - 1) // p
+    out = reduced_from_depth(np.array(depth, dtype=np.int64), h, hp, count)
+    assert out.dtype == np.int64
+    assert out.tolist() == [depth[(h * i + c) % p] - m for i in range(count)]
 
 
 def test_delta_relation():

@@ -112,6 +112,27 @@ def test_hot_path_calls_no_numpy_python_helpers():
     assert found == []
 
 
+# a progression a + s*i is one strided np.arange(a, a + s*n, s) and no
+# scaled one (s * np.arange(n) + a allocates and fills twice): that took
+# window_starts from 3.2 to 2.5 us at hp = 341, and reduced_from_depth at
+# p = 1999 from 9.5 to 7.6 us (half vector) and 14.9 to 12.3 us (full);
+# BENCH_strided_progressions.json has the end-to-end runs
+def test_hot_path_builds_no_scaled_arange():
+    def is_arange(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "arange" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np")
+
+    found = []
+    for name in ("alex", "dinv", "search", "certify"):
+        path = ROOT / "src" / "lenssurg" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                    and (is_arange(node.left) or is_arange(node.right))):
+                found.append(f"{name}.py:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
 def _lenssurg_file_under_pytest(tmp_path, pythonpath):
     """lenssurg.__file__ after pytest runs one of this suite's tests in a
     fresh interpreter, with PYTHONPATH set to pythonpath (unset if None)."""

@@ -1,9 +1,11 @@
+import warnings
 from collections import Counter
 from math import gcd
 
 import numpy as np
 import pytest
 
+from lenssurg import search
 from lenssurg.alex import (
     coverage_depth,
     genus_from_reduced,
@@ -12,6 +14,7 @@ from lenssurg.alex import (
     reduced_from_depth,
     window_starts,
 )
+from lenssurg.arith import Int64BoundError
 from lenssurg.certify import Certificate, Rejection, _certify_class, certify, h_class_set
 from lenssurg.search import (
     _class_reps,
@@ -288,3 +291,25 @@ def test_pool_failure_warns_and_falls_back_to_serial(monkeypatch):
     serial = enumerate_search(2, 40, mode="exhaustive", threads=1)
     assert report_json(pooled) == report_json(serial)
     assert pooled.certificates == serial.certificates
+
+
+def test_slope_above_the_int64_bound_raises_without_a_pool_fallback():
+    # the bound is checked before any pool starts, so no "searching serially"
+    # warning comes first and the range is not searched twice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Int64BoundError):
+            enumerate_search(2**19, 2**19 + 1, "square", threads=2)
+
+
+def test_worker_error_surfaces_from_the_pool_without_a_fallback(monkeypatch):
+    # only a failure to start the pool falls back to serial; a ValueError
+    # raised in a worker (forked after the patch) is the search's own error
+    def fail(p, mode):
+        raise ValueError(f"worker failed at p = {p}")
+
+    monkeypatch.setattr(search, "_search_one_p", fail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="worker failed"):
+            enumerate_search(2, 5, "exhaustive", threads=2)
