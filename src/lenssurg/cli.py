@@ -7,6 +7,11 @@ threshold sweep.  Exit status: 0 success/verified, 1 mismatch/rejection,
 2 usage error, 141 stdout closed early.  User input is validated up front,
 including slopes against the int64 exactness bound p < 2**19; any other
 exception is an internal fault and surfaces with its traceback (exit 1).
+
+Each argument shape has one path: a datum (p, q, h) (alex, certify, group)
+is checked by _surgery_datum and certified or rejected by _certified; a
+slope range (search, tables, plotdata) is checked and searched by _searched;
+families checks its largest slope before it certifies anything.
 """
 
 import argparse
@@ -59,10 +64,22 @@ def _surgery_datum(args):
     return p
 
 
-def _slope_range(pmin, pmax):
+def _certified(args, require_even_d=True):
+    """The certificate of (args.p, args.q, args.h), or None after printing the rejection."""
+    result = certify(args.p, args.q, args.h, require_even_d=require_even_d)
+    if isinstance(result, Certificate):
+        return result
+    print(f"rejected at stage: {result.stage} ({result.detail})")
+    return None
+
+
+def _searched(args, pmin, pmax, mode="square"):
+    """The search report over [pmin, pmax], after checking --threads and the range."""
+    _positive(args.threads, "--threads")
     if not 2 <= pmin <= pmax:
         raise UsageError(f"need 2 <= pmin <= pmax, got [{pmin}, {pmax}]")
     _slope(pmax, "pmax")
+    return search.enumerate_search(pmin, pmax, mode=mode, threads=args.threads)
 
 
 def _write_out(text, path):
@@ -73,18 +90,18 @@ def _write_out(text, path):
         sys.stdout.write(text)
 
 
-def _laurent(coeffs):
-    """The symmetric polynomial with coefficients a_0..a_g, from t^-g up to
-    t^g.  Certified coefficients are in the alternating form: 0 or +-1, with
-    +1 on top, so each term is a sign and a power of t, and the first sign
-    is dropped."""
-    g = len(coeffs) - 1
+def _print_polynomial(cert):
+    """Print the symmetric polynomial a_0..a_g from t^-g up to t^g, then
+    its torsion coefficients.  Certified coefficients are in the alternating
+    form: 0 or +-1, with +1 on top, so each term is a sign and a power of t,
+    and the first sign is dropped."""
     words = []
-    for i in range(-g, g + 1):
-        a = coeffs[abs(i)]
+    for i in range(-cert.g, cert.g + 1):
+        a = cert.poly[abs(i)]
         if a:
             words += ["-" if a < 0 else "+", "1" if i == 0 else "t" if i == 1 else f"t^{i}"]
-    return " ".join(words[1:])
+    print("polynomial:", " ".join(words[1:]))
+    print("torsions:", " ".join(str(t) for t in cert.torsions) or "0")
 
 
 def cmd_dinv(args):
@@ -98,13 +115,10 @@ def cmd_dinv(args):
     if q == 0:
         raise UsageError(f"q (mod p) must be nonzero, got q = {args.q}")
     _coprime(p, q, "lens space")
-    if args.i is not None:
-        if not 0 <= args.i < p:
-            raise UsageError(f"i must lie in [0, {p})")
-        print(f"{args.i} {d_lens(p, q, args.i)}")
-    else:
-        for i in range(p):
-            print(f"{i} {d_lens(p, q, i)}")
+    if args.i is not None and not 0 <= args.i < p:
+        raise UsageError(f"i must lie in [0, {p})")
+    for i in range(p) if args.i is None else (args.i,):
+        print(f"{i} {d_lens(p, q, i)}")
     return 0
 
 
@@ -112,14 +126,12 @@ def cmd_alex(args):
     p = _surgery_datum(args)
     v = reduced_coeffs(p, args.q, args.h)
     print("reduced:", " ".join(str(x) for x in v.tolist()))
-    result = certify(p, args.q, args.h, require_even_d=not args.allow_odd_d)
-    if isinstance(result, Certificate):
-        print("genus:", result.g)
-        print("polynomial:", _laurent(result.poly))
-        print("torsions:", " ".join(str(t) for t in result.torsions) or "0")
-        return 0
-    print(f"rejected at stage: {result.stage} ({result.detail})")
-    return 1
+    cert = _certified(args, require_even_d=not args.allow_odd_d)
+    if cert is None:
+        return 1
+    print("genus:", cert.g)
+    _print_polynomial(cert)
+    return 0
 
 
 def cmd_lambda(args):
@@ -139,42 +151,37 @@ def cmd_lambda(args):
 
 
 def cmd_certify(args):
-    p = _surgery_datum(args)
-    result = certify(p, args.q, args.h, require_even_d=not args.allow_odd_d)
-    if isinstance(result, Certificate):
-        if args.json:
-            print(json.dumps(certificate_to_json(result), sort_keys=True))
-        else:
-            d = result.datum
-            print(f"p={d.p} q={d.q} h={d.h} d={d.d} g={d.g}")
-            print("polynomial:", _laurent(result.poly))
-            print("torsions:", " ".join(str(t) for t in result.torsions) or "0")
-            print("lambda(L(p,q)) =", result.lambda_pq,
-                  " lambda(L(p,1)) =", result.lambda_p1)
-            for name, ok in result.checks:
-                print(f"check {name}: {'PASS' if ok else 'FAIL'}")
+    _surgery_datum(args)
+    cert = _certified(args, require_even_d=not args.allow_odd_d)
+    if cert is None:
+        return 1
+    if args.json:
+        print(json.dumps(certificate_to_json(cert), sort_keys=True))
         return 0
-    print(f"rejected at stage: {result.stage} ({result.detail})")
-    return 1
+    d = cert.datum
+    print(f"p={d.p} q={d.q} h={d.h} d={d.d} g={d.g}")
+    _print_polynomial(cert)
+    print("lambda(L(p,q)) =", cert.lambda_pq, " lambda(L(p,1)) =", cert.lambda_p1)
+    for name, ok in cert.checks:
+        print(f"check {name}: {'PASS' if ok else 'FAIL'}")
+    return 0
 
 
 def cmd_search(args):
-    _positive(args.threads, "--threads")
-    _slope_range(args.pmin, args.pmax)
-    report = search.enumerate_search(args.pmin, args.pmax, mode=args.mode,
-                                     threads=args.threads)
+    report = _searched(args, args.pmin, args.pmax, mode=args.mode)
     _write_out(search.report_csv(report, d=args.d), args.out)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(search.report_json(report), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_out(json.dumps(search.report_json(report), sort_keys=True, indent=2) + "\n",
+                   args.report)
     return 0
 
 
 def cmd_families(args):
-    _positive(args.lmax, "--lmax")
-    insts = search.families(-args.lmax, args.lmax)
-    bad = 0
+    lmax = _positive(args.lmax, "--lmax")
+    # p(l) = a l^2 + b l + c with a > 0 peaks on [-lmax, lmax] at l = lmax sign(b)
+    _slope(max(a * lmax * lmax + abs(b) * lmax + c
+               for a, b, c in (spec.p_poly for spec in search.FAMILY_SPECS)), "family slope p")
+    insts = search.families(-lmax, lmax)
     for inst in insts:
         r = inst.result
         if isinstance(r, Certificate):
@@ -183,26 +190,22 @@ def cmd_families(args):
             print(f"{inst.label}\tl={inst.ell}\tp={d.p} q={d.q} h={d.h} "
                   f"g={d.g} d={d.d}\t{status}")
         else:
-            status = f"REJECTED({r.stage})"
-            print(f"{inst.label}\tl={inst.ell}\tp={inst.p}\t{status}")
-        if not inst.ok:
-            bad += 1
+            print(f"{inst.label}\tl={inst.ell}\tp={inst.p}\tREJECTED({r.stage})")
+    bad = sum(not inst.ok for inst in insts)
     print(f"{len(insts)} instances, {bad} failing")
     return 0 if bad == 0 else 1
 
 
 def cmd_tables(args):
-    _positive(args.threads, "--threads")
+    _positive(args.threads, "--threads")   # before the table is read
     try:
         fixture_rows = tables.load_fixture(args.verify)
     except (OSError, ValueError) as err:
         raise UsageError(f"cannot read table {args.verify!r}: {err}") from err
     pmin = min((r[0] for r in fixture_rows), default=2) if args.pmin is None else args.pmin
     pmax = max((r[0] for r in fixture_rows), default=0) if args.pmax is None else args.pmax
-    _slope_range(pmin, pmax)
+    report = _searched(args, pmin, pmax)
     fixture_rows = [r for r in fixture_rows if pmin <= r[0] <= pmax]
-    report = search.enumerate_search(pmin, pmax, mode="square",
-                                     threads=args.threads)
     rows = [(c.p, c.datum.q, c.datum.h, c.g) for c in report.certs_with_d(2)]
     problems = tables.verify_rows(rows, fixture_rows)
     if problems:
@@ -214,13 +217,12 @@ def cmd_tables(args):
 
 
 def cmd_group(args):
-    p = _surgery_datum(args)
+    _surgery_datum(args)
     _positive(args.max_cosets, "--max-cosets")
-    result = certify(p, args.q, args.h)
-    if not isinstance(result, Certificate):
-        print(f"rejected at stage: {result.stage} ({result.detail})")
+    cert = _certified(args)
+    if cert is None:
         return 1
-    pres = build_presentation(result)
+    pres = build_presentation(cert)
     print(pres)
     print("abelianization order:", abelianization_order(pres))
     order = todd_coxeter(pres, max_cosets=args.max_cosets)
@@ -232,11 +234,7 @@ def cmd_group(args):
 
 
 def cmd_plotdata(args):
-    _positive(args.threads, "--threads")
-    _slope_range(2, args.pmax)
-    report = search.enumerate_search(2, args.pmax, mode="square",
-                                     threads=args.threads)
-    pts = search.plotdata(report, args.d)
+    pts = search.plotdata(_searched(args, 2, args.pmax), args.d)
     _write_out(search.plotdata_csv(pts), args.out)
     return 0
 
@@ -261,72 +259,48 @@ def build_parser():
                     "L-space homology spheres",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = os.cpu_count() or 1
 
-    sp = sub.add_parser("dinv", help="correction terms of L(p,q)")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
+    def command(func, help, positional=""):
+        """Subcommand <name> running cmd_<name>, with one int positional per letter."""
+        sp = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help)
+        for name in positional:
+            sp.add_argument(name, type=int)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = command(cmd_dinv, "correction terms of L(p,q)", "pq")
     sp.add_argument("i", type=int, nargs="?", default=None)
-    sp.set_defaults(func=cmd_dinv)
-
-    sp = sub.add_parser("alex", help="reduced Alexander data for (p,q,h)")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("h", type=int)
+    sp = command(cmd_alex, "reduced Alexander data for (p,q,h)", "pqh")
     sp.add_argument("--allow-odd-d", action="store_true")
-    sp.set_defaults(func=cmd_alex)
-
-    sp = sub.add_parser("lambda", help="Casson-Walker invariant of L(p,q)")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.set_defaults(func=cmd_lambda)
-
-    sp = sub.add_parser("certify", help="run the full pipeline on (p,q,h)")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("h", type=int)
+    command(cmd_lambda, "Casson-Walker invariant of L(p,q)", "pq")
+    sp = command(cmd_certify, "run the full pipeline on (p,q,h)", "pqh")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--allow-odd-d", action="store_true")
-    sp.set_defaults(func=cmd_certify)
-
-    sp = sub.add_parser("search", help="enumerate certified data by slope")
+    sp = command(cmd_search, "enumerate certified data by slope")
     sp.add_argument("--pmin", type=int, default=2)
     sp.add_argument("--pmax", type=int, required=True)
     sp.add_argument("--mode", choices=["square", "exhaustive"], default="square")
     sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=int, default=threads)
     sp.add_argument("--out", default=None)
     sp.add_argument("--report", default=None)
-    sp.set_defaults(func=cmd_search)
-
-    sp = sub.add_parser("families", help="instantiate the parametric families")
+    sp = command(cmd_families, "instantiate the parametric families")
     sp.add_argument("--lmax", type=int, required=True)
-    sp.set_defaults(func=cmd_families)
-
-    sp = sub.add_parser("tables", help="verify search output against a table")
+    sp = command(cmd_tables, "verify search output against a table")
     sp.add_argument("--verify", required=True,
                     help="bundled name (table1/table2) or CSV path")
     sp.add_argument("--pmin", type=int, default=None)
     sp.add_argument("--pmax", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    sp.set_defaults(func=cmd_tables)
-
-    sp = sub.add_parser("group", help="fundamental group of the source sphere")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("h", type=int)
+    sp.add_argument("--threads", type=int, default=threads)
+    sp = command(cmd_group, "fundamental group of the source sphere", "pqh")
     sp.add_argument("--max-cosets", type=int, default=10**6)
-    sp.set_defaults(func=cmd_group)
-
-    sp = sub.add_parser("plotdata", help="(h, p) plot points")
+    sp = command(cmd_plotdata, "(h, p) plot points")
     sp.add_argument("--pmax", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=int, default=threads)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_plotdata)
-
-    sp = sub.add_parser("ras", help="lambda threshold sweep")
-    sp.add_argument("--pmax", type=int, required=True)
-    sp.set_defaults(func=cmd_ras)
+    command(cmd_ras, "lambda threshold sweep").add_argument("--pmax", type=int, required=True)
 
     return parser
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import lenssurg
 from lenssurg.certify import certificate_from_json, certify
-from lenssurg.cli import CLOSED_PIPE, main
+from lenssurg.cli import CLOSED_PIPE, build_parser, main
+
+GOLDEN = Path(__file__).parent / "golden_certs"
 
 
 def run(capsys, *argv):
@@ -62,6 +66,9 @@ def test_certify_json_roundtrip(capsys):
     ("certify", "P", "1", "1"),
     ("group", "P", "1", "1"),
     ("search", "--pmax", "P"),
+    # family m reaches 120*66^2 + 104*66 + 22 = 529,606 at l = 66
+    ("families", "--lmax", "66"),
+    ("families", "--lmax", "200"),
 ])
 def test_slope_beyond_int64_bound_is_usage_error(argv, capsys):
     code, out, err = run(capsys, *(str(2**19) if a == "P" else a for a in argv))
@@ -163,7 +170,7 @@ def test_group(capsys):
 def test_group_at_p_near_2000(capsys):
     # the presentation lines are frozen from the output before the coset
     # enumeration ran on a simplified copy; only the enumeration may change
-    golden = (Path(__file__).parent / "golden_certs" / "group_2001_721_82.txt").read_text()
+    golden = (GOLDEN / "group_2001_721_82.txt").read_text()
     code, out, _ = run(capsys, "group", "2001", "721", "82")
     assert code == 0
     assert out == golden + "group order: 120\n"
@@ -189,33 +196,91 @@ def test_plotdata(tmp_path, capsys):
     assert out == "h,p\n3,8\n5,22\n7,38\n7,40\n"
 
 
+def test_families(capsys):
+    code, out, _ = run(capsys, "families", "--lmax", "2")
+    assert code == 0
+    assert out == (GOLDEN / "families_lmax_2.txt").read_text()
+
+
 def test_ras(capsys):
     code, out, _ = run(capsys, "ras", "--pmax", "20")
     assert code == 0
     assert "no violations" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ("search", "--pmin", "9", "--pmax", "3"),
-    ("search", "--pmin", "1", "--pmax", "3"),
-    ("tables", "--verify", "table1", "--pmin", "50", "--pmax", "40"),
-    ("plotdata", "--pmax", "1", "--d", "2"),
-    ("ras", "--pmax", "3"),
-    ("tables", "--verify", "table1", "--pmin", "0", "--pmax", "30"),
-    ("tables", "--verify", "table1", "--pmax", "0"),
-    ("families", "--lmax", "-3"),
-    ("families", "--lmax", "0"),
-    ("group", "22", "3", "5", "--max-cosets", "-5"),
-    ("dinv", "1", "5", "3"),
-    ("search", "--pmax", "30", "--threads", "0"),
-    ("search", "--pmax", "30", "--threads", "-2"),
-    ("tables", "--verify", "table1", "--pmax", "30", "--threads", "0"),
-    ("plotdata", "--pmax", "30", "--d", "2", "--threads", "-1"),
-])
-def test_bad_ranges_are_usage_errors(capsys, argv):
+BAD_RANGES = [
+    (("search", "--pmin", "9", "--pmax", "3"), "need 2 <= pmin <= pmax, got [9, 3]"),
+    (("search", "--pmin", "1", "--pmax", "3"), "need 2 <= pmin <= pmax, got [1, 3]"),
+    (("tables", "--verify", "table1", "--pmin", "50", "--pmax", "40"),
+     "need 2 <= pmin <= pmax, got [50, 40]"),
+    (("plotdata", "--pmax", "1", "--d", "2"), "need 2 <= pmin <= pmax, got [2, 1]"),
+    (("ras", "--pmax", "3"), "--pmax must be at least 4, got 3"),
+    (("tables", "--verify", "table1", "--pmin", "0", "--pmax", "30"),
+     "need 2 <= pmin <= pmax, got [0, 30]"),
+    (("tables", "--verify", "table1", "--pmax", "0"), "need 2 <= pmin <= pmax, got [8, 0]"),
+    (("families", "--lmax", "-3"), "--lmax must be positive, got -3"),
+    (("families", "--lmax", "0"), "--lmax must be positive, got 0"),
+    (("group", "22", "3", "5", "--max-cosets", "-5"), "--max-cosets must be positive, got -5"),
+    (("dinv", "1", "5", "3"), "i must lie in [0, 1)"),
+    (("search", "--pmax", "30", "--threads", "0"), "--threads must be positive, got 0"),
+    (("search", "--pmax", "30", "--threads", "-2"), "--threads must be positive, got -2"),
+    (("tables", "--verify", "table1", "--pmax", "30", "--threads", "0"),
+     "--threads must be positive, got 0"),
+    (("plotdata", "--pmax", "30", "--d", "2", "--threads", "-1"),
+     "--threads must be positive, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_RANGES,
+                         ids=[f"argv{i}" for i in range(len(BAD_RANGES))])
+def test_bad_ranges_are_usage_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("usage error:")
+    assert err == f"usage error: {message}\n"
+
+
+# every option of every subcommand, as (option strings, dest, type, default,
+# required, choices, nargs); a dropped or re-defaulted option changes no
+# output of the commands the other tests run
+_CPUS = os.cpu_count() or 1
+_DATUM = [((), name, int, None, True, None, None) for name in "pqh"]
+PARSER_SURFACE = {
+    "dinv": _DATUM[:2] + [((), "i", int, None, False, None, "?")],
+    "alex": _DATUM + [(("--allow-odd-d",), "allow_odd_d", None, False, False, None, 0)],
+    "lambda": _DATUM[:2],
+    "certify": _DATUM + [(("--json",), "json", None, False, False, None, 0),
+                         (("--allow-odd-d",), "allow_odd_d", None, False, False, None, 0)],
+    "search": [(("--pmin",), "pmin", int, 2, False, None, None),
+               (("--pmax",), "pmax", int, None, True, None, None),
+               (("--mode",), "mode", None, "square", False, ["square", "exhaustive"], None),
+               (("--d",), "d", int, None, False, None, None),
+               (("--threads",), "threads", int, _CPUS, False, None, None),
+               (("--out",), "out", None, None, False, None, None),
+               (("--report",), "report", None, None, False, None, None)],
+    "families": [(("--lmax",), "lmax", int, None, True, None, None)],
+    "tables": [(("--verify",), "verify", None, None, True, None, None),
+               (("--pmin",), "pmin", int, None, False, None, None),
+               (("--pmax",), "pmax", int, None, False, None, None),
+               (("--threads",), "threads", int, _CPUS, False, None, None)],
+    "group": _DATUM + [(("--max-cosets",), "max_cosets", int, 10**6, False, None, None)],
+    "plotdata": [(("--pmax",), "pmax", int, None, True, None, None),
+                 (("--d",), "d", int, None, True, None, None),
+                 (("--threads",), "threads", int, _CPUS, False, None, None),
+                 (("--out",), "out", None, None, False, None, None)],
+    "ras": [(("--pmax",), "pmax", int, None, True, None, None)],
+}
+
+
+def test_parser_surface():
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [(tuple(a.option_strings), a.dest, a.type, a.default, a.required, a.choices,
+                a.nargs)
+               for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        for name, sp in commands.choices.items()}
+    assert list(surface) == list(PARSER_SURFACE)
+    assert surface == PARSER_SURFACE
 
 
 def test_tables_unreadable_fixture_is_usage_error(tmp_path, capsys):
@@ -238,7 +303,7 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
 def test_closed_stdout_exits_quietly():
     # like `lenssurg dinv 9973 1 | head -1`: the 179 kB of output cannot all
     # sit in the pipe, so the writer meets the closed read end
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(Path(lenssurg.__file__).resolve().parent.parent)   # the code under test
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen([sys.executable, "-m", "lenssurg", "dinv", "9973", "1"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
