@@ -104,6 +104,14 @@ class Certificate:
         return self.datum.p
 
     @property
+    def q(self):
+        return self.datum.q
+
+    @property
+    def h(self):
+        return self.datum.h
+
+    @property
     def d(self):
         return self.datum.d
 
@@ -114,7 +122,7 @@ class Certificate:
     @property
     def q_square(self):
         """The representative [h^2]_p of the lens parameter."""
-        return square_rep(self.p, self.datum.h)
+        return square_rep(self.p, self.h)
 
     @property
     def reduced(self):
@@ -325,7 +333,7 @@ def lift_to_d2(cert: Certificate) -> Certificate:
     p = cert.p
     if p % 2 == 0:
         raise ValueError("degree-shift lift needs odd p")
-    lift = _certify_class(p, cert.datum.h, require_even_d=False, g=(p + 1) // 2)
+    lift = _certify_class(p, cert.h, require_even_d=False, g=(p + 1) // 2)
     if isinstance(lift, Rejection):
         raise ValueError(f"lift rejected at stage {lift.stage} ({lift.detail})")
     if lift.d != cert.d + 2:
@@ -337,8 +345,8 @@ def certificate_to_json(cert: Certificate) -> dict:
     """Stable dict form: ints, lists and num/den pairs only."""
     return {
         "p": cert.p,
-        "q": cert.datum.q,
-        "h": cert.datum.h,
+        "q": cert.q,
+        "h": cert.h,
         "d": cert.d,
         "g": cert.g,
         "q_square": cert.q_square,

@@ -8,10 +8,11 @@ threshold sweep.  Exit status: 0 success/verified, 1 mismatch/rejection,
 including slopes against the int64 exactness bound p < 2**19; any other
 exception is an internal fault and surfaces with its traceback (exit 1).
 
-Each argument shape has one path: a datum (p, q, h) (alex, certify, group)
-is checked by _surgery_datum and certified or rejected by _certified; a
-slope range (search, tables, plotdata) is checked and searched by _searched;
-families checks its largest slope before it certifies anything.
+Each argument shape has one path: a lens space (p, q) (dinv, lambda) is
+checked by _lens_space; a datum (p, q, h) (alex, certify, group) is checked
+by _surgery_datum and certified or rejected by _certified; a slope range
+(search, tables, plotdata) is checked and searched by _searched; families
+checks its largest slope before it certifies anything.
 """
 
 import argparse
@@ -52,6 +53,17 @@ def _slope(value, name="p"):
 def _coprime(a, b, what):
     if gcd(a, b) != 1:
         raise UsageError(f"{what}: gcd({a}, {b}) != 1")
+
+
+def _lens_space(args):
+    """Validate 1 <= p < 2**19 and, for p >= 2, q nonzero mod p and coprime to p;
+    returns (p, q mod p)."""
+    p = _slope(args.p)
+    q = args.q % p
+    if p > 1 and q == 0:
+        raise UsageError(f"q (mod p) must be nonzero, got q = {args.q}")
+    _coprime(p, q, "lens space")
+    return p, q
 
 
 def _surgery_datum(args):
@@ -105,18 +117,12 @@ def _print_polynomial(cert):
 
 
 def cmd_dinv(args):
-    p = _slope(args.p)
-    if p == 1:
-        if args.i not in (None, 0):
-            raise UsageError("i must lie in [0, 1)")
-        print("0 0")
-        return 0
-    q = args.q % p
-    if q == 0:
-        raise UsageError(f"q (mod p) must be nonzero, got q = {args.q}")
-    _coprime(p, q, "lens space")
+    p, q = _lens_space(args)
     if args.i is not None and not 0 <= args.i < p:
         raise UsageError(f"i must lie in [0, {p})")
+    if p == 1:
+        print("0 0")
+        return 0
     for i in range(p) if args.i is None else (args.i,):
         print(f"{i} {d_lens(p, q, i)}")
     return 0
@@ -135,12 +141,10 @@ def cmd_alex(args):
 
 
 def cmd_lambda(args):
-    p = _slope(args.p)
+    p, q = _lens_space(args)
     if p == 1:
         print("lambda(L(1,1)) = 0")
         return 0
-    q = args.q % p
-    _coprime(p, q, "lens space")
     lam = casson.lambda_rustamov(p, q)
     check = casson.lambda_dedekind(p, q)
     print(f"lambda(L({p},{q})) = {lam}")
@@ -178,9 +182,7 @@ def cmd_search(args):
 
 def cmd_families(args):
     lmax = _positive(args.lmax, "--lmax")
-    # p(l) = a l^2 + b l + c with a > 0 peaks on [-lmax, lmax] at l = lmax sign(b)
-    _slope(max(a * lmax * lmax + abs(b) * lmax + c
-               for a, b, c in (spec.p_poly for spec in search.FAMILY_SPECS)), "family slope p")
+    _slope(search.family_slope_max(-lmax, lmax), "family slope p")
     insts = search.families(-lmax, lmax)
     for inst in insts:
         r = inst.result
@@ -206,7 +208,7 @@ def cmd_tables(args):
     pmax = max((r[0] for r in fixture_rows), default=0) if args.pmax is None else args.pmax
     report = _searched(args, pmin, pmax)
     fixture_rows = [r for r in fixture_rows if pmin <= r[0] <= pmax]
-    rows = [(c.p, c.datum.q, c.datum.h, c.g) for c in report.certs_with_d(2)]
+    rows = [(c.p, c.q, c.h, c.g) for c in report.certs_with_d(2)]
     problems = tables.verify_rows(rows, fixture_rows)
     if problems:
         for line in problems:

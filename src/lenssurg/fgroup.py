@@ -63,7 +63,7 @@ def build_presentation(cert) -> GroupPresentation:
     order-120 regression anchors in the test suite.
     """
     p = cert.p
-    h = cert.datum.h
+    h = cert.h
     q = cert.q_square
     hp = mod_inverse(h, p)
     c = spin_c_c(h, p)

@@ -2,9 +2,10 @@
 
 For each slope p the candidate space is the set of dual-class orbits
 H = {+-h^{+-1}} with a nontrivial minimal representative; the lens
-parameter is forced to the square q = [h^2]_p (exhaustive mode accounts
-for the remaining coprime (q, h) pairs in bulk, since any pair whose q is
-not the square class of h is rejected by the quadratic-residue stage).
+parameter is forced to the square q = [h^2]_p.  Exhaustive mode accounts
+for all phi(p)^2 coprime pairs (q, h): each class stands for orbit * qmult
+pairs, the trivial pairs (1, +-1) are counted apart, and the other
+phi(p)^2 - class pairs - trivial pairs fail the quadratic-residue stage.
 
 A candidate first passes a screen on alex.coverage_depth: the reduced
 coefficients -m + Phi^k can only support an alternating polynomial if
@@ -40,6 +41,7 @@ __all__ = [
     "SPORADIC_FAMILY",
     "enumerate_search",
     "families",
+    "family_slope_max",
     "conjecture_check",
     "plotdata",
     "report_csv",
@@ -148,16 +150,9 @@ def _search_one_p(p, mode):
                 d_hist[result.derived_d] += 1
 
     if mode == "exhaustive":
-        units = [x for x in range(1, p) if gcd(x, p) == 1]
-        squares = {x * x % p for x in units}
-        nu = len(units)
-        # q not a quadratic residue: rejected for every h
-        rejections["square-test"] += (nu - len(squares)) * nu
-        # q a residue but not the square class of h
-        sq_pairs = len(squares) * nu
-        triv_mult = 2 if p > 2 else 1  # pairs (1, 1) and (1, p-1)
-        rejections["square-test"] += sq_pairs - compat_pairs - triv_mult
-        trivial = triv_mult
+        phi = sum(gcd(x, p) == 1 for x in range(1, p))
+        trivial = 2 if p > 2 else 1  # pairs (1, 1) and (1, p-1)
+        rejections["square-test"] += phi * phi - compat_pairs - trivial
 
     return certs, rejections, d_hist, trivial
 
@@ -173,7 +168,7 @@ def enumerate_search(p_min: int, p_max: int, mode: str = "square",
     report = SearchReport(p_min=p_min, p_max=p_max, mode=mode)
     results = _map_over_p(range(p_min, p_max + 1), mode, threads)
     for certs, rejections, d_hist, trivial in results:
-        certs.sort(key=lambda c: (c.p, c.datum.q, c.datum.h))
+        certs.sort(key=lambda c: (c.p, c.q, c.h))
         report.certificates.extend(certs)
         report.rejections.update(rejections)
         report.d_histogram.update(d_hist)
@@ -206,40 +201,43 @@ def _map_over_p(ps, mode, threads):
 
 # -- parametric families ----------------------------------------------------
 
+def _quadratic(coeffs, x):
+    """a*x^2 + b*x + c for coeffs = (a, b, c)."""
+    a, b, c = coeffs
+    return (a * x + b) * x + c
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     label: str
-    p_poly: tuple      # (a, b, c) -> a*l^2 + b*l + c
-    h_poly: tuple      # (u, v)    -> u*l + v
-    genus_rule: str    # key into _GENUS_RULES
+    p_poly: tuple      # (a, b, c) -> p(l) = a*l^2 + b*l + c, with a > 0
+    h_poly: tuple      # (u, v)    -> h(l) = u*l + v
+    genus: tuple       # (s, t)    -> 2g = p + 1 - |s*l + t|
 
+    def slope(self, ell):
+        return _quadratic(self.p_poly, ell)
 
-_GENUS_RULES = {
-    "p+1-|l|": lambda p, l: p + 1 - abs(l),
-    "p+1-2|l|": lambda p, l: p + 1 - 2 * abs(l),
-    "p+1-|2l+1|": lambda p, l: p + 1 - abs(2 * l + 1),
-}
 
 FAMILY_SPECS = (
-    FamilySpec("a", (14, 7, 1), (7, 2), "p+1-|l|"),
-    FamilySpec("b", (20, 15, 3), (5, 2), "p+1-|l|"),
-    FamilySpec("c", (30, 9, 1), (6, 1), "p+1-|l|"),
-    FamilySpec("d", (42, 23, 3), (7, 2), "p+1-|l|"),
-    FamilySpec("d'", (42, 47, 13), (7, 4), "p+1-|l|"),
-    FamilySpec("e", (52, 15, 1), (13, 2), "p+1-|l|"),
-    FamilySpec("e'", (52, 63, 19), (13, 8), "p+1-|l|"),
-    FamilySpec("f", (54, 15, 1), (27, 4), "p+1-|l|"),
-    FamilySpec("f'", (54, 39, 7), (27, 10), "p+1-|l|"),
-    FamilySpec("g", (69, 17, 1), (23, 3), "p+1-2|l|"),
-    FamilySpec("g'", (69, 29, 3), (23, 5), "p+1-2|l|"),
-    FamilySpec("h", (85, 19, 1), (17, 2), "p+1-2|l|"),
-    FamilySpec("h'", (85, 49, 7), (17, 5), "p+1-2|l|"),
-    FamilySpec("i", (99, 35, 3), (11, 2), "p+1-2|l|"),
-    FamilySpec("i'", (99, 53, 7), (11, 3), "p+1-2|l|"),
-    FamilySpec("j", (120, 16, 1), (12, 1), "p+1-2|l|"),
-    FamilySpec("k", (120, 20, 1), (20, 2), "p+1-2|l|"),
-    FamilySpec("l", (120, 36, 3), (12, 2), "p+1-2|l|"),
-    FamilySpec("m", (120, 104, 22), (12, 5), "p+1-|2l+1|"),
+    FamilySpec("a", (14, 7, 1), (7, 2), (1, 0)),
+    FamilySpec("b", (20, 15, 3), (5, 2), (1, 0)),
+    FamilySpec("c", (30, 9, 1), (6, 1), (1, 0)),
+    FamilySpec("d", (42, 23, 3), (7, 2), (1, 0)),
+    FamilySpec("d'", (42, 47, 13), (7, 4), (1, 0)),
+    FamilySpec("e", (52, 15, 1), (13, 2), (1, 0)),
+    FamilySpec("e'", (52, 63, 19), (13, 8), (1, 0)),
+    FamilySpec("f", (54, 15, 1), (27, 4), (1, 0)),
+    FamilySpec("f'", (54, 39, 7), (27, 10), (1, 0)),
+    FamilySpec("g", (69, 17, 1), (23, 3), (2, 0)),
+    FamilySpec("g'", (69, 29, 3), (23, 5), (2, 0)),
+    FamilySpec("h", (85, 19, 1), (17, 2), (2, 0)),
+    FamilySpec("h'", (85, 49, 7), (17, 5), (2, 0)),
+    FamilySpec("i", (99, 35, 3), (11, 2), (2, 0)),
+    FamilySpec("i'", (99, 53, 7), (11, 3), (2, 0)),
+    FamilySpec("j", (120, 16, 1), (12, 1), (2, 0)),
+    FamilySpec("k", (120, 20, 1), (20, 2), (2, 0)),
+    FamilySpec("l", (120, 36, 3), (12, 2), (2, 0)),
+    FamilySpec("m", (120, 104, 22), (12, 5), (2, 1)),
 )
 
 SPORADIC_FAMILY = ("n", 191, 34, 15, 95)  # label, p, q, h, g
@@ -249,6 +247,11 @@ SPORADIC_FAMILY = ("n", 191, 34, 15, 95)  # label, p, q, h, g
 # the smallest quadratic coefficient (14 l^2 + 7 l + 1 reaches 1933 at
 # l = -12).
 FULL_COVERAGE_LRANGE = 12
+
+
+def family_slope_max(l_min: int, l_max: int) -> int:
+    """The largest p(l) over l_min <= l <= l_max: each p(l) has a > 0, so peaks at an end."""
+    return max(spec.slope(ell) for spec in FAMILY_SPECS for ell in (l_min, l_max))
 
 
 @dataclass(frozen=True)
@@ -268,40 +271,28 @@ def families(l_min: int, l_max: int) -> list:
     """Instantiate every family at every nonzero l in [l_min, l_max].
 
     Each instance is canonicalized and certified; the certified genus is
-    compared against the family's genus rule.  The sporadic entry is always
-    included.  Output is sorted by (p, q, h, label).
+    compared against the family's genus rule.  The largest slope is checked
+    against the int64 bound before anything is certified.  The sporadic
+    entry is always included.  Output is sorted by (p, q, h, label).
     """
+    if l_min <= l_max:
+        check_int64_bound(family_slope_max(l_min, l_max))
     out = []
     for spec in FAMILY_SPECS:
-        a, b, c = spec.p_poly
-        u, v = spec.h_poly
-        rule = _GENUS_RULES[spec.genus_rule]
-        for ell in range(l_min, l_max + 1):
-            if ell == 0:
-                continue
-            p = a * ell * ell + b * ell + c
+        (u, v), (s, t) = spec.h_poly, spec.genus
+        for ell in filter(None, range(l_min, l_max + 1)):   # every l != 0
+            p = spec.slope(ell)
             h = u * ell + v
             result = certify(p, h * h, h)
             genus_ok = (isinstance(result, Certificate)
-                        and 2 * result.g == rule(p, ell))
+                        and 2 * result.g == p + 1 - abs(s * ell + t))
             out.append(FamilyInstance(spec.label, ell, p, result, genus_ok))
     label, p, q, h, g = SPORADIC_FAMILY
     result = certify(p, q, h)
-    genus_ok = (isinstance(result, Certificate)
-                and result.g == g and result.datum.q == q)
+    genus_ok = isinstance(result, Certificate) and result.g == g and result.q == q
     out.append(FamilyInstance(label, None, p, result, genus_ok))
-    out.sort(key=lambda inst: (inst.p, _inst_q(inst), _inst_h(inst), inst.label))
+    out.sort(key=lambda inst: (inst.p, inst.result.q, inst.result.h, inst.label))
     return out
-
-
-def _inst_q(inst):
-    r = inst.result
-    return r.datum.q if isinstance(r, Certificate) else r.q
-
-
-def _inst_h(inst):
-    r = inst.result
-    return r.datum.h if isinstance(r, Certificate) else r.h
 
 
 # -- conjectured patterns ----------------------------------------------------
@@ -316,21 +307,6 @@ _CONJECTURE_QUADRATICS = (
 _CONJECTURE_BANDS = ((5, (321, 100), (361, 100)), (6, (115, 100), (128, 100)))
 
 
-def _integer_roots(a, b, c):
-    """Integer solutions of a*x^2 + b*x + c = 0."""
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    r = isqrt(disc)
-    if r * r != disc:
-        return []
-    roots = []
-    for num in (-b + r, -b - r):
-        if num % (2 * a) == 0:
-            roots.append(num // (2 * a))
-    return sorted(set(roots))
-
-
 def conjecture_check(cert: Certificate):
     """First matching conjectured pattern (1..6) for a d = 2 certificate.
 
@@ -340,16 +316,17 @@ def conjecture_check(cert: Certificate):
     """
     if cert.d != 2:
         raise ValueError("pattern check applies to d = 2 certificates")
-    p, q = cert.p, cert.datum.q
+    p, q = cert.p, cert.q
+    # each pattern p(l) = a l^2 + b l + c has 0 <= b < a and c >= 1, so
+    # p(l) > a|l|(|l| - 1) > p once |l| > isqrt(p) + 1: no other l can give p
     for pattern, pc, qc in _CONJECTURE_QUADRATICS:
-        for ell in _integer_roots(pc[0], pc[1], pc[2] - p):
-            if ell == 0:
-                continue
-            q_ell = (qc[0] * ell * ell + qc[1] * ell + qc[2]) % p
-            if gcd(q_ell, p) == 1 and canonical_q(p, q_ell) == q:
-                return pattern
+        for ell in range(-isqrt(p) - 1, isqrt(p) + 2):
+            if ell and _quadratic(pc, ell) == p:
+                q_ell = _quadratic(qc, ell) % p
+                if gcd(q_ell, p) == 1 and canonical_q(p, q_ell) == q:
+                    return pattern
     for pattern, (lo_n, lo_d), (hi_n, hi_d) in _CONJECTURE_BANDS:
-        for h0 in sorted(h_class_set(p, cert.datum.h)):
+        for h0 in sorted(h_class_set(p, cert.h)):
             if lo_n * p <= h0 * h0 * lo_d and h0 * h0 * hi_d <= hi_n * p:
                 return pattern
     return None
@@ -359,7 +336,7 @@ def conjecture_check(cert: Certificate):
 
 def plotdata(report: SearchReport, d: int) -> list:
     """Points (h_min, p), one per certificate with the given d, sorted by p."""
-    pts = [(c.datum.h, c.p) for c in report.certs_with_d(d)]
+    pts = [(c.h, c.p) for c in report.certs_with_d(d)]
     pts.sort(key=lambda t: (t[1], t[0]))
     return pts
 
@@ -368,7 +345,7 @@ def report_csv(report: SearchReport, d=None) -> str:
     """Certificate rows as `p,q,h,g` CSV (sorted, trailing newline)."""
     certs = report.certificates if d is None else report.certs_with_d(d)
     lines = ["p,q,h,g"]
-    lines.extend(f"{c.p},{c.datum.q},{c.datum.h},{c.g}" for c in certs)
+    lines.extend(f"{c.p},{c.q},{c.h},{c.g}" for c in certs)
     return "\n".join(lines) + "\n"
 
 

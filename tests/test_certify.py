@@ -126,6 +126,15 @@ def test_certify_symmetry_over_class_reps():
     assert certify(38, 11, 31).datum == base.datum
 
 
+def test_certificate_and_rejection_read_p_q_h_alike():
+    # a certificate answers (p, q, h) with its canonical datum, a rejection
+    # with its input pair
+    cert = certify(38, 11, 31)
+    assert (cert.p, cert.q, cert.h) == (cert.datum.p, cert.datum.q, cert.datum.h) == (38, 7, 7)
+    rejection = certify(9, 2, 4)
+    assert (rejection.p, rejection.q, rejection.h) == (9, 2, 4)
+
+
 def _torsions_fit(cert):
     """a_i = t_{i-1} - 2 t_i + t_{i+1} for i >= 1, and dd1 from the torsions."""
     ts = cert.torsions

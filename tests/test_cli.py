@@ -202,6 +202,16 @@ def test_families(capsys):
     assert out == (GOLDEN / "families_lmax_2.txt").read_text()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_exhaustive_search_matches_its_golden_output(tmp_path, capsys, threads):
+    # the CSV, then the --report JSON, of the exhaustive sweep over 2..250
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "search", "--pmax", "250", "--mode", "exhaustive",
+                       "--threads", threads, "--report", str(report))
+    assert code == 0
+    assert out + report.read_text() == (GOLDEN / "search_exhaustive_250.txt").read_text()
+
+
 def test_ras(capsys):
     code, out, _ = run(capsys, "ras", "--pmax", "20")
     assert code == 0
@@ -228,6 +238,8 @@ BAD_RANGES = [
      "--threads must be positive, got 0"),
     (("plotdata", "--pmax", "30", "--d", "2", "--threads", "-1"),
      "--threads must be positive, got -1"),
+    (("lambda", "9", "9"), "q (mod p) must be nonzero, got q = 9"),
+    (("dinv", "9", "9"), "q (mod p) must be nonzero, got q = 9"),
 ]
 
 

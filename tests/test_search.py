@@ -4,6 +4,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lenssurg import search
 from lenssurg.alex import (
@@ -16,12 +18,15 @@ from lenssurg.alex import (
 )
 from lenssurg.arith import Int64BoundError
 from lenssurg.certify import Certificate, Rejection, _certify_class, certify, h_class_set
+from lenssurg.tables import load_fixture
 from lenssurg.search import (
+    FAMILY_SPECS,
     _class_reps,
     _screen,
     conjecture_check,
     enumerate_search,
     families,
+    family_slope_max,
     plotdata,
     plotdata_csv,
     report_csv,
@@ -260,6 +265,45 @@ def test_families_anchors():
 def test_families_genus_rules_small_range():
     for inst in families(-3, 3):
         assert inst.ok, (inst.label, inst.ell, inst.p)
+
+
+def test_families_check_the_int64_bound_before_certifying(monkeypatch):
+    # family l at l = 66 has p = 525,099 >= 2**19; no slope is certified first
+    def fail(*args, **kwargs):
+        raise AssertionError("certify ran before the int64 bound check")
+
+    monkeypatch.setattr(search, "certify", fail)
+    with pytest.raises(Int64BoundError):
+        families(-66, 66)
+
+
+def test_families_on_an_empty_range_give_the_sporadic_entry_alone():
+    assert [(i.label, i.ell, i.p, i.ok) for i in families(1, 0)] == [("n", None, 191, True)]
+
+
+@given(st.integers(-300, 300), st.integers(0, 40))
+def test_family_slope_max_is_the_largest_slope_in_the_range(l0, width):
+    l1 = l0 + width
+    brute = max(a * ell * ell + b * ell + c
+                for a, b, c in (spec.p_poly for spec in FAMILY_SPECS)
+                for ell in range(l0, l1 + 1))
+    assert family_slope_max(l0, l1) == brute
+
+
+def test_family_and_pattern_quadratics_meet_the_scan_preconditions():
+    # family_slope_max reads the range ends because every family p(l) has
+    # a > 0; conjecture_check scans |l| <= isqrt(p) + 1 because every
+    # pattern p(l) has 0 <= b < a and c >= 1
+    assert all(spec.p_poly[0] > 0 for spec in FAMILY_SPECS)
+    for _, (a, b, c), _ in search._CONJECTURE_QUADRATICS:
+        assert 0 <= b < a and c >= 1, (a, b, c)
+
+
+def test_conjecture_histogram_over_the_fixture_rows():
+    rows = load_fixture("table1") + load_fixture("table2")
+    assert len(rows) == 190
+    hist = Counter(conjecture_check(certify(p, q, h)) for p, q, h, _ in rows)
+    assert hist == {1: 11, 2: 11, 3: 10, 4: 10, 5: 75, 6: 71, None: 2}
 
 
 def test_conjecture_check():
