@@ -7,19 +7,21 @@ for all phi(p)^2 coprime pairs (q, h): each class stands for orbit * qmult
 pairs, the trivial pairs (1, +-1) are counted apart, and the other
 phi(p)^2 - class pairs - trivial pairs fail the quadratic-residue stage.
 
-A candidate first passes a screen on alex.coverage_depth: the reduced
-coefficients -m + Phi^k can only support an alternating polynomial if
-every value lies in [-1, 2], the constant entry is +-1 and, when the genus
-g read off the vector has 2g < p (no index collisions), the entries
-a~_g .. a~_0 already alternate.  More than half of the candidates at
-p ~ 1000 and above fail on one count taken before the length-p depth is
-built: Phi^0, the number of window starts at most h, must lie in
-[m, m + 2], because Phi^{p-1} = Phi^0 - 1 and both lie in [m - 1, m + 2]
-(proof in _screen).  Survivors go through the full exact certification
-pipeline, which reads the screen's depth in place of counting the windows
-again, so each candidate's window starts and depth are built once.  The
-screen is validated against the plain pipeline on small slopes in the test
-suite.
+A slope's classes are enumerated as one numpy array, and each is screened
+on alex.coverage_depth: the reduced coefficients -m + Phi^k can only support
+an alternating polynomial if every value lies in [-1, 2], the constant entry
+is +-1 and, when the genus g read off the vector has 2g < p (no index
+collisions), the entries a~_g .. a~_0 already alternate.  More than half of
+the candidates at p ~ 1000 and above fail on one count taken before the
+length-p depth is built: Phi^0, the number of window starts at most h, must
+lie in [m, m + 2] (proof in _phi0_batches).  That count is taken for many
+classes at once: their window starts are concatenated in batches of at most
+_BATCH entries, one np.add.reduceat per batch counts them, and only the
+classes that pass go on, one by one, to the rest of the screen.  Survivors
+of the screen go through the full exact certification pipeline, which reads
+the screen's depth in place of counting the windows again, so each
+candidate's window starts and depth are built once.  The screen is validated
+against the plain pipeline on small slopes in the test suite.
 """
 
 import warnings
@@ -64,59 +66,100 @@ class SearchReport:
         return [c for c in self.certificates if c.d == d]
 
 
+# At most this many window starts go in one batch of _phi0_batches (a class
+# with more goes alone): its int64 arrays then take 64 KB, below glibc's
+# default mmap threshold of 128 KB, so each batch is heap memory that its
+# in-place passes reuse while it stays in cache.  A whole slope near
+# p = 2000 holds about 170,000 starts, which do not.
+_BATCH = 1 << 13
+
+
 def _class_reps(p):
     """Minimal representatives of nontrivial dual-class orbits, with weights.
 
-    Yields (h_min, inverse_of_hmin, orbit_size, q_multiplicity); h_min runs
-    over class minima in [2, p/2].  h < p/2 for a unit h >= 2, so h != p - h
-    and hp != p - hp: the orbit {h, p - h, hp, p - hp} has 2 members when hp
-    is h or p - h, and 4 otherwise.
+    An int64 array with one row (h_min, inverse_of_hmin, orbit_size,
+    q_multiplicity) per class; h_min runs over class minima in [2, p/2].
+    The inverse is h^(phi(p) - 1) mod p, by square-and-multiply on the
+    array of units h in [2, p/2]: for p > 2 the units of [1, p) pair off as
+    x and p - x, so phi(p) = 2(1 + #units), and every product stays below
+    p^2 < 2^38 (p < arith.INT64_P_BOUND, which enumerate_search checks).
+    h < p/2 for a unit h >= 2, so h != p - h and hp != p - hp:
+    the orbit {h, p - h, hp, p - hp} has 2 members when hp is h or p - h,
+    and 4 otherwise.
     """
-    for h in range(2, p // 2 + 1):
-        if gcd(h, p) != 1:
-            continue
-        hp = pow(h, -1, p)
-        if hp < h or p - hp < h:
-            continue  # not the orbit minimum
-        orbit = 2 if hp == h or hp == p - h else 4
-        qmult = 1 if (h * h) % p == (hp * hp) % p else 2
-        yield h, hp, orbit, qmult
+    h = np.arange(2, p // 2 + 1, dtype=np.int64)
+    h = h[np.gcd(h, p) == 1]
+    hp, power, e = np.ones_like(h), h.copy(), 2 * len(h) + 1   # e = phi(p) - 1
+    while e:
+        if e & 1:
+            hp *= power
+            hp %= p
+        power *= power
+        power %= p
+        e >>= 1
+    minimal = (h <= hp) & (h <= p - hp)
+    h, hp = h[minimal], hp[minimal]
+    orbit = np.where((hp == h) | (hp == p - h), 2, 4)
+    qmult = np.where(h * h % p == hp * hp % p, 1, 2)
+    return np.stack((h, hp, orbit, qmult), axis=1)
 
 
-def _screen(p, h, hp):
-    """Necessary condition for the os-form stage of the pipeline.
+def _phi0_batches(p, reps):
+    """The Phi^0 test of every class in reps (rows of _class_reps(p)).
 
-    All reduced coefficients lie in [-1, 2], a~_0 = +-1, and when 2g < p the
-    nonzero a~_g .. a~_0 read +1, -1, +1, ... (unreduce reads them back as
-    the polynomial); collision genera 2g = p are left to the pipeline.
-    Works with the orbit member whose inverse is smallest (the reduced
-    coefficient vector is an orbit invariant, and q = [h^2]_p moves with
-    the member), so coverage_depth sums the fewest windows.
+    Each class is counted with the orbit member hs whose inverse n is the
+    smaller (the reduced coefficient vector is an orbit invariant, and
+    q = [hs^2]_p moves with the member), so that it has the fewest window
+    starts [qj]_p, j in [1, n].  The classes go in order, in batches of at
+    most _BATCH starts, a class with more alone.  Yields per batch the
+    slice of reps it covers, the starts of its classes one after another
+    (window_starts), the index of each class's first start, and whether
+    each class passes.
+
+    Phi^0 is the number of starts in [1, hs], that is, at most hs.  The
+    window of k = p - 1 is [p, p - 1 + hs], read cyclically {0} and
+    [1, hs - 1]: it gains 0, which no start is, and loses hs, which exactly
+    one start is (the starts are distinct, and [q*n]_p = hs since
+    hs*n = 1 mod p).  So Phi^{p-1} = Phi^0 - 1, both lie in [m - 1, m + 2]
+    only if m <= Phi^0 <= m + 2, and a class failing that is rejected, as
+    _screen's full range test would reject it, before its length-p depth
+    is built.
+    """
+    h, hp = reps[:, 0], reps[:, 1]
+    hs, n = np.maximum(h, hp), np.minimum(h, hp)
+    m = (h * hp - 1) // p
+    q = hs * hs % p
+    ends = np.add.accumulate(n)
+    lo = 0
+    while lo < len(n):
+        before = ends[lo] - n[lo]   # starts of the classes before the batch
+        hi = max(int(np.searchsorted(ends, before + _BATCH, "right")), lo + 1)
+        batch = slice(lo, hi)
+        starts = window_starts(p, q[batch], n[batch])
+        first = ends[batch] - n[batch] - before
+        phi0 = np.add.reduceat(starts <= np.repeat(hs[batch], n[batch]), first)
+        yield batch, starts, first, (m[batch] <= phi0) & (phi0 <= m[batch] + 2)
+        lo = hi
+
+
+def _screen(p, h, hp, starts):
+    """Necessary condition for the os-form stage of the pipeline, for a class
+    that passed the Phi^0 test of _phi0_batches.
+
+    h is the orbit member the class was counted with, hp its inverse and
+    starts its window starts.  All reduced coefficients lie in [-1, 2],
+    a~_0 = +-1, and when 2g < p the nonzero a~_g .. a~_0 read +1, -1, +1, ...
+    (unreduce reads them back as the polynomial); collision genera 2g = p
+    are left to the pipeline.
 
     Returns None for a rejected class, and for a passing one the tuple
-    (hs, depth) of the member it worked with and its coverage_depth, which
-    _certify_class reads in place of counting again.  A tuple, not the bare
-    array, so that the result is true exactly when the class passes.
-
-    The range test first looks at one count: Phi^0, the number of window
-    starts [qj]_p (j in [1, hp]) in [1, h], that is, at most h.  The window
-    of k = p - 1 is [p, p - 1 + h], read cyclically {0} and [1, h - 1]: it
-    gains 0, which no start is, and loses h, which exactly one start is
-    (the starts are distinct, and [q*hp]_p = h since h*hp = 1 mod p).  So
-    Phi^{p-1} = Phi^0 - 1, both lie in [m - 1, m + 2] only if
-    m <= Phi^0 <= m + 2, and a candidate failing that is rejected, as the
-    full range test would reject it, before the length-p depth is built
-    from the same starts.
+    (h, depth) of the member and its coverage_depth, which _certify_class
+    reads in place of counting again.  A tuple, not the bare array, so that
+    the result is true exactly when the class passes.
     """
-    # swap to the representative with the cheaper window count
-    if hp > h:
-        h, hp = hp, h
     m = (h * hp - 1) // p
-    starts = window_starts(p, (h * h) % p, hp)
-    if not m <= np.count_nonzero(starts <= h) <= m + 2:
-        return None
     depth = coverage_depth(p, h, starts)
-    if not (m - 1 <= depth.min() and depth.max() <= m + 2):
+    if not (m - 1 <= np.minimum.reduce(depth) and np.maximum.reduce(depth) <= m + 2):
         return None
     e = reduced_from_depth(depth, h, hp, p // 2 + 1)   # a~_0 .. a~_{p/2}
     if abs(int(e[0])) != 1:
@@ -130,29 +173,36 @@ def _search_one_p(p, mode):
     certs = []
     rejections = Counter()
     d_hist = Counter()
+    reps = _class_reps(p)
+    pairs = reps[:, 2] * reps[:, 3]
+    weights = pairs if mode == "exhaustive" else np.ones_like(pairs)
+
+    for batch, starts, first, alive in _phi0_batches(p, reps):
+        dead = int(np.add.reduce(weights[batch][~alive]))
+        if dead:   # a zero count would add a key to the report
+            rejections["os-form"] += dead
+        for (h, hp, _, _), weight, i in zip(reps[batch][alive].tolist(),
+                                             weights[batch][alive].tolist(),
+                                             first[alive].tolist()):
+            hs, n = (hp, h) if hp > h else (h, hp)
+            screened = _screen(p, hs, n, starts[i:i + n])
+            if screened is None:
+                rejections["os-form"] += weight
+                continue
+            result = _certify_class(p, h, require_even_d=False, screened=screened)
+            if isinstance(result, Certificate):
+                certs.append(result)
+                d_hist[result.d] += 1
+            else:
+                rejections[result.stage] += weight
+                if result.derived_d is not None and result.stage == "bound-violation":
+                    d_hist[result.derived_d] += 1
+
     trivial = 0
-    compat_pairs = 0
-
-    for h, hp, orbit, qmult in _class_reps(p):
-        weight = orbit * qmult if mode == "exhaustive" else 1
-        compat_pairs += orbit * qmult
-        screened = _screen(p, h, hp)
-        if screened is None:
-            rejections["os-form"] += weight
-            continue
-        result = _certify_class(p, h, require_even_d=False, screened=screened)
-        if isinstance(result, Certificate):
-            certs.append(result)
-            d_hist[result.d] += 1
-        else:
-            rejections[result.stage] += weight
-            if result.derived_d is not None and result.stage == "bound-violation":
-                d_hist[result.derived_d] += 1
-
     if mode == "exhaustive":
-        phi = sum(gcd(x, p) == 1 for x in range(1, p))
         trivial = 2 if p > 2 else 1  # pairs (1, 1) and (1, p-1)
-        rejections["square-test"] += phi * phi - compat_pairs - trivial
+        phi = trivial + int(np.add.reduce(reps[:, 2]))   # units: {1, p-1} and the orbits
+        rejections["square-test"] += phi * phi - int(np.add.reduce(pairs)) - trivial
 
     return certs, rejections, d_hist, trivial
 

@@ -46,10 +46,10 @@ def test_phi_total_mass():
 
 def test_zero_step_edges():
     # q = 0 and h = 0 make the step of i -> q*i (or h*i) zero, where a
-    # strided arange would raise; window_starts and reduced_from_depth build
-    # these constant progressions on a branch of their own
-    assert window_starts(1, 0, 1).tolist() == [0]
-    assert window_starts(5, 0, 3).tolist() == [0, 0, 0]
+    # strided arange would raise; reduced_from_depth builds that constant
+    # progression on a branch of its own, window_starts multiplies by zero
+    assert window_starts(1, (0,), (1,)).tolist() == [0]
+    assert window_starts(5, (0,), (3,)).tolist() == [0, 0, 0]
     assert reduced_coeffs(1, 0, 0).tolist() == [1]
 
 
@@ -274,15 +274,18 @@ def test_dd1_matches_python_sum(coeffs):
 @st.composite
 def _window_args(draw):
     p = draw(st.integers(1, 3000))
-    return p, draw(st.integers(1 - p, p - 1)), draw(st.integers(0, p))
+    classes = st.tuples(st.integers(1 - p, p - 1), st.integers(0, p))
+    return p, draw(st.lists(classes, min_size=1, max_size=6))
 
 
 @given(_window_args())
 def test_window_starts_matches_loop(args):
-    p, q, hp = args
-    starts = window_starts(p, q, hp)
+    # one class or several, one after another, as the search batches them
+    p, classes = args
+    q, n = zip(*classes)
+    starts = window_starts(p, q, n)
     assert starts.dtype == np.int64
-    assert starts.tolist() == [(q * j) % p for j in range(1, hp + 1)]
+    assert starts.tolist() == [(qc * j) % p for qc, nc in classes for j in range(1, nc + 1)]
 
 
 @st.composite

@@ -84,7 +84,7 @@ def test_int64_bound_edge():
         with pytest.raises(Int64BoundError):
             d_vector(p, 3)
         with pytest.raises(Int64BoundError):
-            window_starts(p, 1, 1)   # every coverage depth is built from these
+            window_starts(p, (1,), (1,))   # every coverage depth is built from these
 
 
 @pytest.mark.parametrize("p,i,expected", [

@@ -92,10 +92,10 @@ def test_traced_search_reaches_the_benchmark_bindings(monkeypatch, tmp_path):
 # wrap on the arrays of a few hundred entries that every search candidate
 # builds (np.cumsum 2.0 us against np.add.accumulate 0.6 us, a.any() 1.0 us
 # against np.count_nonzero 0.3 us, at 100 entries); the per-candidate
-# modules call np.add.accumulate, np.add.reduce, np.count_nonzero and
-# ndarray.nonzero instead
+# modules call np.add.accumulate, np.add.reduce, np.minimum.reduce,
+# np.maximum.reduce, np.count_nonzero and ndarray.nonzero instead
 _NP_HELPERS = {"cumsum", "flatnonzero", "array_equal"}   # called as np.<name>
-_ANY_HELPERS = {"any", "all", "sum"}   # as np.<name> or as an array method
+_ANY_HELPERS = {"any", "all", "sum", "min", "max"}   # as np.<name> or as an array method
 
 
 def test_hot_path_calls_no_numpy_python_helpers():
@@ -114,9 +114,11 @@ def test_hot_path_calls_no_numpy_python_helpers():
 
 # a progression a + s*i is one strided np.arange(a, a + s*n, s) and no
 # scaled one (s * np.arange(n) + a allocates and fills twice): that took
-# window_starts from 3.2 to 2.5 us at hp = 341, and reduced_from_depth at
-# p = 1999 from 9.5 to 7.6 us (half vector) and 14.9 to 12.3 us (full);
-# BENCH_strided_progressions.json has the end-to-end runs
+# reduced_from_depth at p = 1999 from 9.5 to 7.6 us (half vector) and 14.9
+# to 12.3 us (full); BENCH_strided_progressions.json has the end-to-end
+# runs.  window_starts, which builds the screen's progressions [qj]_p for
+# many classes at once, scales its positions in place (starts *= ...), so
+# it allocates nothing twice either
 def test_hot_path_builds_no_scaled_arange():
     def is_arange(node):
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)

@@ -22,6 +22,7 @@ from lenssurg.tables import load_fixture
 from lenssurg.search import (
     FAMILY_SPECS,
     _class_reps,
+    _phi0_batches,
     _screen,
     conjecture_check,
     enumerate_search,
@@ -96,14 +97,35 @@ def test_mode_equivalence_small():
     assert sq.d_histogram == ex.d_histogram
 
 
+def _screen_member(h, hp):
+    """The orbit member a class is screened with: the one with the smaller inverse."""
+    return (hp, h) if hp > h else (h, hp)
+
+
+def _batched_classes(p):
+    """(h, hp, starts, alive) for every class of p, through the search's
+    batches: the class, its screening member's slice of the batch's window
+    starts, and its Phi^0 verdict."""
+    reps = _class_reps(p)
+    for batch, starts, first, alive in _phi0_batches(p, reps):
+        for (h, hp, _, _), i, ok in zip(reps[batch].tolist(), first.tolist(), alive.tolist()):
+            yield h, hp, starts[i:i + min(h, hp)], ok
+
+
+def _batch_screen(p):
+    """(h, hp, screened) for every class of p, as the search screens it:
+    None for a class that fails Phi^0 or the rest of _screen."""
+    for h, hp, starts, alive in _batched_classes(p):
+        yield h, hp, _screen(p, *_screen_member(h, hp), starts) if alive else None
+
+
 def test_screen_agrees_with_pipeline():
     # the coverage-depth screen must reject only when the full pipeline
     # rejects with an out-of-form reduced vector, and it may pass on to that
     # rejection only a collision genus 2g >= p, which it leaves to unreduce
     passed_to_os_form = 0
     for p in range(2, 141):
-        for h, hp, _, _ in _class_reps(p):
-            screened = _screen(p, h, hp)
+        for h, hp, screened in _batch_screen(p):
             result = _certify_class(p, h, require_even_d=False)
             if isinstance(result, Certificate):
                 assert screened is not None, (p, h)
@@ -116,23 +138,19 @@ def test_screen_agrees_with_pipeline():
     assert passed_to_os_form > 0   # the collision genera do reach the pipeline
 
 
-def _screen_member(h, hp):
-    """The orbit member _screen works with: the one with the smaller inverse."""
-    return (hp, h) if hp > h else (h, hp)
-
-
-def _depth(p, h, hp):
-    """coverage_depth of the member h with q = [h^2]_p, from fresh starts."""
-    return coverage_depth(p, h, window_starts(p, (h * h) % p, hp))
+def _one_class_starts(p, h, hp):
+    """The window starts of the member h with q = [h^2]_p, built alone."""
+    return window_starts(p, ((h * h) % p,), (hp,))
 
 
 def _full_range_screen(p, h, hp):
-    # the screen without the Phi^0 pre-check: value range over every k,
-    # a~_0 = +-1, and the alternating form below the collision genera;
-    # None for a rejection, else the member and its depth, as _screen returns
+    # the screen without the Phi^0 pre-check, on one class's own starts:
+    # value range over every k, a~_0 = +-1, and the alternating form below
+    # the collision genera; None for a rejection, else the member and its
+    # depth, as _screen returns
     h, hp = _screen_member(h, hp)
     m = (h * hp - 1) // p
-    depth = _depth(p, h, hp)
+    depth = coverage_depth(p, h, _one_class_starts(p, h, hp))
     if not (m - 1 <= depth.min() and depth.max() <= m + 2):
         return None
     e = reduced_from_depth(depth, h, hp, p // 2 + 1)
@@ -151,11 +169,51 @@ def _plain(screened):
     return hs, depth.tolist()
 
 
+@pytest.mark.parametrize("slopes", [range(2, 400), range(1993, 2002)])
+def test_batches_match_the_one_class_starts(slopes):
+    # each class's slice of a batch holds the starts it would have alone,
+    # and its Phi^0 verdict is the count of those starts at most h
+    lone = shared = 0
+    for p in slopes:
+        reps = _class_reps(p)
+        covered = 0
+        for batch, starts, first, alive in _phi0_batches(p, reps):
+            assert batch.start == covered and batch.stop > covered, p
+            covered = batch.stop
+            assert starts.dtype == np.int64
+            assert len(starts) <= search._BATCH or batch.stop - batch.start == 1, p
+            shared += batch.stop - batch.start > 1
+            lone += len(starts) > search._BATCH
+        assert covered == len(reps), p
+        for h, hp, starts, ok in _batched_classes(p):
+            h, hp = _screen_member(h, hp)
+            alone = _one_class_starts(p, h, hp)
+            assert starts.tolist() == alone.tolist(), (p, h)
+            m = (h * hp - 1) // p
+            assert ok == (m <= np.count_nonzero(alone <= h) <= m + 2), (p, h)
+    assert shared > 0
+    assert lone == 0   # no class has more than _BATCH = 8192 starts below p = 16384
+
+
+def test_search_does_not_depend_on_the_batch_size(monkeypatch):
+    # a cap of 7 starts splits most batches at the cap and leaves every
+    # class with more than 7 starts alone in its batch
+    reference = [enumerate_search(2, 160, mode) for mode in ("square", "exhaustive")]
+    monkeypatch.setattr(search, "_BATCH", 7)
+    lone = shared = 0
+    for p in range(2, 161):
+        for batch, starts, _, _ in _phi0_batches(p, _class_reps(p)):
+            lone += len(starts) > 7
+            shared += batch.stop - batch.start > 1
+    assert lone > 0 and shared > 0
+    assert [enumerate_search(2, 160, mode) for mode in ("square", "exhaustive")] == reference
+
+
 def test_depth_drops_by_one_from_window_zero_to_the_last():
     # Phi^{p-1} = Phi^0 - 1: the start [q*hp]_p = h leaves the window
     for p in range(3, 400):
-        for h, hp, _, _ in _class_reps(p):
-            depth = _depth(p, *_screen_member(h, hp))
+        for h, hp, starts, _ in _batched_classes(p):
+            depth = coverage_depth(p, _screen_member(h, hp)[0], starts)
             assert depth[p - 1] == depth[0] - 1, (p, h)
 
 
@@ -163,8 +221,8 @@ def test_depth_drops_by_one_from_window_zero_to_the_last():
 def test_screen_precheck_keeps_every_answer(slopes):
     rejected = total = 0
     for p in slopes:
-        for h, hp, _, _ in _class_reps(p):
-            screened = _plain(_screen(p, h, hp))
+        for h, hp, screened in _batch_screen(p):
+            screened = _plain(screened)
             assert screened == _plain(_full_range_screen(p, h, hp)), (p, h)
             rejected += screened is None
             total += 1
@@ -177,8 +235,7 @@ def test_certify_reads_the_screen_depth_as_built_from_scratch(slopes):
     # hs, [hs^2]_p; every other caller counts the windows of h, [h^2]_p
     survivors = 0
     for p in slopes:
-        for h, hp, _, _ in _class_reps(p):
-            screened = _screen(p, h, hp)
+        for h, hp, screened in _batch_screen(p):
             if screened is None:
                 continue
             handed = _certify_class(p, h, require_even_d=False, screened=screened)
@@ -189,15 +246,27 @@ def test_certify_reads_the_screen_depth_as_built_from_scratch(slopes):
 
 def test_class_reps_match_the_orbit_oracle():
     # every nontrivial orbit {+-h^{+-1}} once, at its minimum, with its size
-    # and the number of distinct squares in it (h^2 or h^-2)
-    for p in [*range(2, 300), *range(1993, 2002)]:
+    # and the number of distinct squares in it (h^2 or h^-2); iterating the
+    # array yields one row per orbit, as the benchmark counts classes
+    for p in [*range(2, 300), *range(400, 1000, 37), *range(1993, 2002)]:
         expected = []
         for h in range(2, p):
             if gcd(h, p) == 1 and h == min(h_class_set(p, h)):
                 hp = pow(h, -1, p)
                 squares = {h * h % p, hp * hp % p}
-                expected.append((h, hp, len(h_class_set(p, h)), len(squares)))
-        assert list(_class_reps(p)) == expected, p
+                expected.append([h, hp, len(h_class_set(p, h)), len(squares)])
+        reps = _class_reps(p)
+        assert reps.dtype == np.int64 and reps.shape == (len(expected), 4), p
+        assert reps.tolist() == expected, p
+        assert sum(1 for _ in reps) == len(expected), p
+
+
+def test_units_are_the_trivial_orbit_and_the_classes():
+    # the exhaustive count reads phi(p) as the trivial orbit {1, p - 1}
+    # ({1} at p = 2) plus the orbit sizes of the classes
+    for p in range(2, 2000):
+        phi = sum(1 for x in range(1, p) if gcd(x, p) == 1)
+        assert phi == (2 if p > 2 else 1) + int(_class_reps(p)[:, 2].sum()), p
 
 
 def test_exhaustive_bulk_counts_match_bruteforce():
@@ -233,6 +302,9 @@ def test_search_reports():
     doc = report_json(rep)
     assert doc["certificate_count"] == len(rep.certificates)
     assert doc["mode"] == "square"
+    # every class below p = 8 passes the screen: no stage shows a zero count
+    assert report_json(enumerate_search(2, 7, "square"))["rejections"] == {}
+    assert report_json(enumerate_search(2, 7, "exhaustive"))["rejections"] == {"square-test": 44}
 
 
 def test_plotdata_empty_below_8():
