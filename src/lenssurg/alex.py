@@ -18,14 +18,12 @@ certificate stores.  These per-candidate stages call the ufunc loops directly
 (np.add.accumulate, np.add.reduce, np.count_nonzero, ndarray.nonzero), not
 np.cumsum, .sum(), np.array_equal, .any() or np.flatnonzero: on the arrays
 of a few hundred entries that each search candidate builds, those Python
-wrappers cost more than the loop they call.  For the same reason the
-indices [hi + c]_p of reduced_from_depth are one strided np.arange and one
-% p, not a scaled arange; a zero step (h = 0 at p = 1) takes a branch that
-builds the same constant array.  The window starts [qj]_p are built for
-several classes at once, the search's batch of a slope's classes or the one
-class of reduced_coeffs, by in-place passes over one array: positions less
-the repeated class offsets, times the repeated q, less p times the floor
-quotient by p.
+wrappers cost more than the loop they call.  reduced_from_depth reads the
+depth at the Spin^c labels [hi + c]_p of dinv.spin_c_labels.  The window
+starts [qj]_p are built for several classes at once, the search's batch of
+a slope's classes or the one class of reduced_coeffs, by in-place passes
+over one array: positions less the repeated class offsets, times the
+repeated q, less p times the floor quotient by p.
 """
 
 from math import gcd
@@ -33,7 +31,7 @@ from math import gcd
 import numpy as np
 
 from .arith import check_int64_bound, mod_inverse
-from .dinv import spin_c_c
+from .dinv import spin_c_labels
 
 __all__ = [
     "UnreduceError",
@@ -119,17 +117,11 @@ def reduced_from_depth(depth: np.ndarray, h: int, hp: int, count: int) -> np.nda
     """a~_i = -m + Phi^{hi+c}(h) for i in [0, count), read off coverage_depth.
 
     h and hp = [h^{-1}]_p are the ones the depth was built with, p is its
-    length, and m = (h*hp - 1)/p, c = dinv.spin_c_c(h, p).  The residues
-    hi + c are one strided arange; h = 0 (only at p = 1) has no stride, so it
-    reads depth at c for every i.
+    length, m = (h*hp - 1)/p, and the labels [hi + c]_p come from
+    dinv.spin_c_labels.
     """
     p = len(depth)
-    c = spin_c_c(h, p)
-    if h:
-        k = np.arange(c, c + h * count, h, dtype=np.int64) % p
-    else:
-        k = np.full(count, c, dtype=np.int64)
-    return depth[k] - (h * hp - 1) // p
+    return depth[spin_c_labels(h, p, count)] - (h * hp - 1) // p
 
 
 def reduced_coeffs(p: int, q: int, h: int, *, depth=None) -> np.ndarray:

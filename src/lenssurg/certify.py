@@ -26,9 +26,9 @@ when every D_i equals D_0.  In a search, the reduce stage reads the
 coverage depth that search._screen built; certify builds it.  The stages
 run on the int64 arrays of the alex module (reduced vector, coefficients,
 torsions and their class sums); the bound arith.INT64_P_BOUND keeps them
-exact.  A certificate stores only the datum and the coefficients a_0..a_g
-of the polynomial (Python ints); everything else it reports is derived from
-them when read.  _certify_class alone builds one, and certificate_from_json
+exact.  A certificate is the datum and the coefficients a_0..a_g of the
+polynomial (Python ints); everything else it reports is derived from them
+when read.  _certify_class alone builds one, and certificate_from_json
 reads a document back by re-running the pipeline on its (p, q, h).
 """
 
@@ -43,7 +43,6 @@ from .alex import (
     UnreduceError,
     dd1,
     genus_from_reduced,
-    is_symmetric,
     os_form_check,  # not called here; perfbench/spans.py wraps this binding
     reduce_poly,
     reduced_coeffs,
@@ -53,7 +52,7 @@ from .alex import (
 )
 from .arith import INT64_P_BOUND, is_square_mod, mod_inverse
 from .casson import euler_check, lambda_rustamov
-from .dinv import d_vector, spin_c_c
+from .dinv import d_vector, spin_c_labels
 
 __all__ = [
     "SurgeryDatum",
@@ -93,31 +92,15 @@ class SurgeryDatum:
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(SurgeryDatum):
     """A certified datum and its polynomial; every other reported fact is
-    derived from these two fields when it is read."""
-    datum: SurgeryDatum
+    derived from these fields when it is read."""
     poly: tuple                     # a_0 .. a_g
 
     @property
-    def p(self):
-        return self.datum.p
-
-    @property
-    def q(self):
-        return self.datum.q
-
-    @property
-    def h(self):
-        return self.datum.h
-
-    @property
-    def d(self):
-        return self.datum.d
-
-    @property
-    def g(self):
-        return self.datum.g
+    def datum(self):
+        """The certified datum alone, without the polynomial."""
+        return SurgeryDatum(self.p, self.q, self.h, self.d, self.g)
 
     @property
     def q_square(self):
@@ -196,13 +179,6 @@ def square_rep(p: int, h: int) -> int:
     return (h * h) % p
 
 
-def _compatible(p: int, q: int, h: int) -> bool:
-    """The input q names the same lens space as [h^2]_p."""
-    qs = square_rep(p, h)
-    q = q % p
-    return qs == q or qs == mod_inverse(q, p)
-
-
 def _reconstruct(p: int, h: int, g=None, screened=None):
     """Stages reduce and unreduce: (genus, coefficients a_0..a_g).
 
@@ -210,11 +186,12 @@ def _reconstruct(p: int, h: int, g=None, screened=None):
     orbit member hs in screened = (hs, depth) from search._screen: the
     reduced vector is an orbit invariant.  The genus is read off the reduced
     vector when g is None.  Raises UnreduceError when the vector admits no
-    alternating polynomial.
+    alternating polynomial; unreduce tests its symmetry, which the vector of
+    q = [h^2]_p always has.
     """
     hs, depth = screened or (h, None)
     e = reduced_coeffs(p, square_rep(p, hs), hs, depth=depth)
-    if abs(int(e[0])) != 1 or not is_symmetric(e):
+    if abs(int(e[0])) != 1:
         raise UnreduceError("reduced coefficients cannot reduce an alternating polynomial")
     if g is None:
         g = genus_from_reduced(e)
@@ -225,11 +202,11 @@ def _forced_d(p: int, h: int, tred: np.ndarray) -> np.ndarray:
     """D_i = 8p * t~_i + N[Q(i)] - (2i - p)^2 + p for every i in Z/p, as int64.
 
     D_i is 4p times the d that the surgery formula forces at i.  The scaled
-    terms N are those of L(p, [h^2]_p), read at Q(i) = [h*i + c]_p.
+    terms N are those of L(p, [h^2]_p), read at the labels Q(i) = [h*i + c]_p
+    of dinv.spin_c_labels.
     """
-    n, c = d_vector(p, square_rep(p, h)), spin_c_c(h, p)
-    q_of_i = np.arange(c, c + h * p, h, dtype=np.int64) % p   # [h*i + c]_p, h >= 1
-    return 8 * p * tred + n[q_of_i] - np.arange(-p, p, 2, dtype=np.int64) ** 2 + p
+    n = d_vector(p, square_rep(p, h))[spin_c_labels(h, p, p)]
+    return 8 * p * tred + n - np.arange(-p, p, 2, dtype=np.int64) ** 2 + p
 
 
 def bounds_check(g: int, d: int, p: int) -> bool:
@@ -254,7 +231,7 @@ def certify(p: int, q: int, h: int, require_even_d: bool = True):
     if gcd(p, q) != 1 or gcd(p, h) != 1:
         return Rejection(p, q, h, "coprimality", f"gcd with {p} is not 1")
     # a compatible q is h^{+-2}, a square; the scan only picks the detail
-    if not _compatible(p, q, h):
+    if canonical_q(p, q) != canonical_q(p, square_rep(p, h)):
         if not is_square_mod(q, p):
             return Rejection(p, q, h, "square-test", f"{q} is not a square mod {p}")
         return Rejection(
@@ -312,8 +289,7 @@ def _certify_class(p, h, require_even_d=True, g=None, screened=None):
             return Rejection(p, q_canon, h_canon, "bound-violation",
                              f"(g, d, p) = ({g}, {d}, {p})", derived_d=d)
 
-    cert = Certificate(SurgeryDatum(p=p, q=q_canon, h=h_canon, d=d, g=g),
-                       tuple(coeffs.tolist()))
+    cert = Certificate(p, q_canon, h_canon, d, g, tuple(coeffs.tolist()))
     if not euler_check(p, d, cert.lambda_pq, cert.lambda_p1, dd1(coeffs)):
         # implied by the per-i surgery formula; kept as an independent guard
         return Rejection(p, q_canon, h_canon, "correction-mismatch",

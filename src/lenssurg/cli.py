@@ -162,8 +162,7 @@ def cmd_certify(args):
     if args.json:
         print(json.dumps(certificate_to_json(cert), sort_keys=True))
         return 0
-    d = cert.datum
-    print(f"p={d.p} q={d.q} h={d.h} d={d.d} g={d.g}")
+    print(f"p={cert.p} q={cert.q} h={cert.h} d={cert.d} g={cert.g}")
     _print_polynomial(cert)
     print("lambda(L(p,q)) =", cert.lambda_pq, " lambda(L(p,1)) =", cert.lambda_p1)
     for name, ok in cert.checks:
@@ -187,12 +186,11 @@ def cmd_families(args):
     for inst in insts:
         r = inst.result
         if isinstance(r, Certificate):
-            d = r.datum
             status = "ok" if inst.genus_ok else "GENUS-RULE-FAIL"
-            print(f"{inst.label}\tl={inst.ell}\tp={d.p} q={d.q} h={d.h} "
-                  f"g={d.g} d={d.d}\t{status}")
+            print(f"{inst.label}\tl={inst.ell}\tp={r.p} q={r.q} h={r.h} "
+                  f"g={r.g} d={r.d}\t{status}")
         else:
-            print(f"{inst.label}\tl={inst.ell}\tp={inst.p}\tREJECTED({r.stage})")
+            print(f"{inst.label}\tl={inst.ell}\tp={r.p}\tREJECTED({r.stage})")
     bad = sum(not inst.ok for inst in insts)
     print(f"{len(insts)} instances, {bad} failing")
     return 0 if bad == 0 else 1

@@ -20,8 +20,10 @@ remainder, numerator minus q times the quotient, raises ArithmeticError.
 int64 is exact for p below arith.INT64_P_BOUND, and d_vector raises
 Int64BoundError above it.  d_lens gives the Fraction value N / (4p).  The
 relabeling Q(i) = [h*i + c]_p of Spin^c structures takes its shift c from
-spin_c_c.  The labeling convention is pinned by the certification anchors;
-see the certify module tests.
+spin_c_c, and spin_c_labels builds the labels of i in [0, count) as one
+strided arange less p times its floor quotient by p.  The labeling
+convention is pinned by the certification anchors; see the certify module
+tests.
 """
 
 from fractions import Fraction
@@ -32,7 +34,7 @@ import numpy as np
 
 from .arith import check_int64_bound
 
-__all__ = ["d_lens", "d_vector", "spin_c_c"]
+__all__ = ["d_lens", "d_vector", "spin_c_c", "spin_c_labels"]
 
 
 @lru_cache(maxsize=256)
@@ -81,3 +83,19 @@ def spin_c_c(h: int, p: int) -> int:
     if prod % 2 != 0:
         raise ValueError(f"ill-formed Spin^c shift for (h, p) = ({h}, {p})")
     return (prod // 2) % p
+
+
+def spin_c_labels(h: int, p: int, count: int) -> np.ndarray:
+    """Q(i) = [h*i + c]_p for i in [0, count), c = spin_c_c(h, p), as int64.
+
+    Exact for h in [0, p) and count <= p.  h = 0 (only at p = 1) has no
+    stride: every label is c.
+    """
+    c = spin_c_c(h, p)
+    if not h:
+        return np.full(count, c, dtype=np.int64)
+    k = np.arange(c, c + h * count, h, dtype=np.int64)
+    whole = k // p
+    whole *= p
+    k -= whole
+    return k

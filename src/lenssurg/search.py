@@ -77,8 +77,11 @@ _BATCH = 1 << 13
 def _class_reps(p):
     """Minimal representatives of nontrivial dual-class orbits, with weights.
 
-    An int64 array with one row (h_min, inverse_of_hmin, orbit_size,
-    q_multiplicity) per class; h_min runs over class minima in [2, p/2].
+    An int64 array with one row (h, hp, orbit_size, q_multiplicity) per
+    class: h runs over the class minima in [2, p/2] and hp is its inverse.
+    A minimum is at most every member, so h <= hp: the search screens each
+    class with the member hp, whose inverse h is the smallest, so that it
+    has the fewest window starts, [qj]_p for j in [1, h] with q = [hp^2]_p.
     The inverse is h^(phi(p) - 1) mod p, by square-and-multiply on the
     array of units h in [2, p/2]: for p > 2 the units of [1, p) pair off as
     x and p - x, so phi(p) = 2(1 + #units), and every product stays below
@@ -107,37 +110,34 @@ def _class_reps(p):
 def _phi0_batches(p, reps):
     """The Phi^0 test of every class in reps (rows of _class_reps(p)).
 
-    Each class is counted with the orbit member hs whose inverse n is the
-    smaller (the reduced coefficient vector is an orbit invariant, and
-    q = [hs^2]_p moves with the member), so that it has the fewest window
-    starts [qj]_p, j in [1, n].  The classes go in order, in batches of at
-    most _BATCH starts, a class with more alone.  Yields per batch the
-    slice of reps it covers, the starts of its classes one after another
-    (window_starts), the index of each class's first start, and whether
-    each class passes.
+    Each class is counted with the member hp (see _class_reps; the reduced
+    coefficient vector is an orbit invariant, and q = [hp^2]_p moves with
+    the member).  The classes go in order, in batches of at most _BATCH
+    starts, a class with more alone.  Yields per batch the slice of reps it
+    covers, the starts of its classes one after another (window_starts),
+    the index of each class's first start, and whether each class passes.
 
-    Phi^0 is the number of starts in [1, hs], that is, at most hs.  The
-    window of k = p - 1 is [p, p - 1 + hs], read cyclically {0} and
-    [1, hs - 1]: it gains 0, which no start is, and loses hs, which exactly
-    one start is (the starts are distinct, and [q*n]_p = hs since
-    hs*n = 1 mod p).  So Phi^{p-1} = Phi^0 - 1, both lie in [m - 1, m + 2]
+    Phi^0 is the number of starts in [1, hp], that is, at most hp.  The
+    window of k = p - 1 is [p, p - 1 + hp], read cyclically {0} and
+    [1, hp - 1]: it gains 0, which no start is, and loses hp, which exactly
+    one start is (the starts are distinct, and [q*h]_p = hp since
+    hp*h = 1 mod p).  So Phi^{p-1} = Phi^0 - 1, both lie in [m - 1, m + 2]
     only if m <= Phi^0 <= m + 2, and a class failing that is rejected, as
     _screen's full range test would reject it, before its length-p depth
     is built.
     """
     h, hp = reps[:, 0], reps[:, 1]
-    hs, n = np.maximum(h, hp), np.minimum(h, hp)
     m = (h * hp - 1) // p
-    q = hs * hs % p
-    ends = np.add.accumulate(n)
+    q = hp * hp % p
+    ends = np.add.accumulate(h)
     lo = 0
-    while lo < len(n):
-        before = ends[lo] - n[lo]   # starts of the classes before the batch
+    while lo < len(h):
+        before = ends[lo] - h[lo]   # starts of the classes before the batch
         hi = max(int(np.searchsorted(ends, before + _BATCH, "right")), lo + 1)
         batch = slice(lo, hi)
-        starts = window_starts(p, q[batch], n[batch])
-        first = ends[batch] - n[batch] - before
-        phi0 = np.add.reduceat(starts <= np.repeat(hs[batch], n[batch]), first)
+        starts = window_starts(p, q[batch], h[batch])
+        first = ends[batch] - h[batch] - before
+        phi0 = np.add.reduceat(starts <= np.repeat(hp[batch], h[batch]), first)
         yield batch, starts, first, (m[batch] <= phi0) & (phi0 <= m[batch] + 2)
         lo = hi
 
@@ -184,8 +184,7 @@ def _search_one_p(p, mode):
         for (h, hp, _, _), weight, i in zip(reps[batch][alive].tolist(),
                                              weights[batch][alive].tolist(),
                                              first[alive].tolist()):
-            hs, n = (hp, h) if hp > h else (h, hp)
-            screened = _screen(p, hs, n, starts[i:i + n])
+            screened = _screen(p, hp, h, starts[i:i + h])
             if screened is None:
                 rejections["os-form"] += weight
                 continue
@@ -236,7 +235,7 @@ def _map_over_p(ps, mode, threads):
         import multiprocessing as mp
 
         try:
-            pool = mp.get_context("fork").Pool(threads)
+            pool = mp.get_context("fork").Pool(min(threads, len(ps)))
         except (OSError, ValueError) as err:
             # e.g. sandboxed environments without fork support; a worker's own
             # error is not caught here, so it surfaces once, from the pool
@@ -308,7 +307,6 @@ def family_slope_max(l_min: int, l_max: int) -> int:
 class FamilyInstance:
     label: str
     ell: object          # int, or None for the sporadic entry
-    p: int
     result: object       # Certificate or Rejection
     genus_ok: bool
 
@@ -336,12 +334,12 @@ def families(l_min: int, l_max: int) -> list:
             result = certify(p, h * h, h)
             genus_ok = (isinstance(result, Certificate)
                         and 2 * result.g == p + 1 - abs(s * ell + t))
-            out.append(FamilyInstance(spec.label, ell, p, result, genus_ok))
+            out.append(FamilyInstance(spec.label, ell, result, genus_ok))
     label, p, q, h, g = SPORADIC_FAMILY
     result = certify(p, q, h)
     genus_ok = isinstance(result, Certificate) and result.g == g and result.q == q
-    out.append(FamilyInstance(label, None, p, result, genus_ok))
-    out.sort(key=lambda inst: (inst.p, inst.result.q, inst.result.h, inst.label))
+    out.append(FamilyInstance(label, None, result, genus_ok))
+    out.sort(key=lambda inst: (inst.result.p, inst.result.q, inst.result.h, inst.label))
     return out
 
 

@@ -46,8 +46,9 @@ def test_phi_total_mass():
 
 def test_zero_step_edges():
     # q = 0 and h = 0 make the step of i -> q*i (or h*i) zero, where a
-    # strided arange would raise; reduced_from_depth builds that constant
-    # progression on a branch of its own, window_starts multiplies by zero
+    # strided arange would raise; dinv.spin_c_labels, which reduced_from_depth
+    # reads, builds that constant progression on a branch of its own, and
+    # window_starts multiplies by zero
     assert window_starts(1, (0,), (1,)).tolist() == [0]
     assert window_starts(5, (0,), (3,)).tolist() == [0, 0, 0]
     assert reduced_coeffs(1, 0, 0).tolist() == [1]

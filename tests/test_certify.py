@@ -175,7 +175,7 @@ def test_derived_fields_match_the_pipeline_counts():
 
 def test_certificate_stores_the_polynomial_once():
     names = [f.name for f in dataclasses.fields(Certificate)]
-    assert names == ["datum", "poly"]
+    assert names == ["p", "q", "h", "d", "g", "poly"]
 
 
 def test_incompatible_pairs_never_certify(monkeypatch):

@@ -154,3 +154,16 @@ def test_spin_c_Q_bijection():
                 continue
             image = {spin_c_Q(h, p, i) for i in range(p)}
             assert image == set(range(p))
+
+
+def test_spin_c_labels_match_the_loop():
+    # every coprime h in [0, p), p < 200, half and full length; h = 0 only at p = 1
+    for p in range(1, 200):
+        for h in range(p):
+            if gcd(h, p) != 1:
+                continue
+            c = dinv.spin_c_c(h, p)
+            for count in (p // 2 + 1, p):
+                labels = dinv.spin_c_labels(h, p, count)
+                assert labels.dtype == np.int64
+                assert labels.tolist() == [(h * i + c) % p for i in range(count)], (p, h)

@@ -97,26 +97,21 @@ def test_mode_equivalence_small():
     assert sq.d_histogram == ex.d_histogram
 
 
-def _screen_member(h, hp):
-    """The orbit member a class is screened with: the one with the smaller inverse."""
-    return (hp, h) if hp > h else (h, hp)
-
-
 def _batched_classes(p):
     """(h, hp, starts, alive) for every class of p, through the search's
-    batches: the class, its screening member's slice of the batch's window
-    starts, and its Phi^0 verdict."""
+    batches: the class, the slice of the batch's window starts of its
+    screening member hp, and its Phi^0 verdict."""
     reps = _class_reps(p)
     for batch, starts, first, alive in _phi0_batches(p, reps):
         for (h, hp, _, _), i, ok in zip(reps[batch].tolist(), first.tolist(), alive.tolist()):
-            yield h, hp, starts[i:i + min(h, hp)], ok
+            yield h, hp, starts[i:i + h], ok
 
 
 def _batch_screen(p):
     """(h, hp, screened) for every class of p, as the search screens it:
     None for a class that fails Phi^0 or the rest of _screen."""
     for h, hp, starts, alive in _batched_classes(p):
-        yield h, hp, _screen(p, *_screen_member(h, hp), starts) if alive else None
+        yield h, hp, _screen(p, hp, h, starts) if alive else None
 
 
 def test_screen_agrees_with_pipeline():
@@ -148,7 +143,7 @@ def _full_range_screen(p, h, hp):
     # value range over every k, a~_0 = +-1, and the alternating form below
     # the collision genera; None for a rejection, else the member and its
     # depth, as _screen returns
-    h, hp = _screen_member(h, hp)
+    h, hp = hp, h   # the member hp, whose inverse is the class minimum h
     m = (h * hp - 1) // p
     depth = coverage_depth(p, h, _one_class_starts(p, h, hp))
     if not (m - 1 <= depth.min() and depth.max() <= m + 2):
@@ -186,7 +181,7 @@ def test_batches_match_the_one_class_starts(slopes):
             lone += len(starts) > search._BATCH
         assert covered == len(reps), p
         for h, hp, starts, ok in _batched_classes(p):
-            h, hp = _screen_member(h, hp)
+            h, hp = hp, h   # the screening member and its inverse
             alone = _one_class_starts(p, h, hp)
             assert starts.tolist() == alone.tolist(), (p, h)
             m = (h * hp - 1) // p
@@ -213,7 +208,7 @@ def test_depth_drops_by_one_from_window_zero_to_the_last():
     # Phi^{p-1} = Phi^0 - 1: the start [q*hp]_p = h leaves the window
     for p in range(3, 400):
         for h, hp, starts, _ in _batched_classes(p):
-            depth = coverage_depth(p, _screen_member(h, hp)[0], starts)
+            depth = coverage_depth(p, hp, starts)
             assert depth[p - 1] == depth[0] - 1, (p, h)
 
 
@@ -350,7 +345,8 @@ def test_families_check_the_int64_bound_before_certifying(monkeypatch):
 
 
 def test_families_on_an_empty_range_give_the_sporadic_entry_alone():
-    assert [(i.label, i.ell, i.p, i.ok) for i in families(1, 0)] == [("n", None, 191, True)]
+    assert [(i.label, i.ell, i.result.p, i.ok)
+            for i in families(1, 0)] == [("n", None, 191, True)]
 
 
 @given(st.integers(-300, 300), st.integers(0, 40))
@@ -407,6 +403,26 @@ def test_pool_failure_warns_and_falls_back_to_serial(monkeypatch):
     serial = enumerate_search(2, 40, mode="exhaustive", threads=1)
     assert report_json(pooled) == report_json(serial)
     assert pooled.certificates == serial.certificates
+
+
+def test_pool_starts_no_more_workers_than_slopes(monkeypatch):
+    # two slopes on 64 threads ask for a pool of 2; the fake pool records the
+    # size and refuses to start, so the search runs serially and no process
+    # is forked
+    import multiprocessing
+
+    sizes = []
+
+    class Refuse:
+        def Pool(self, n):
+            sizes.append(n)
+            raise OSError("no pool in this test")
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Refuse())
+    with pytest.warns(RuntimeWarning, match="no pool in this test"):
+        report = enumerate_search(5, 6, mode="square", threads=64)
+    assert sizes == [2]
+    assert report_json(report) == report_json(enumerate_search(5, 6, mode="square"))
 
 
 def test_slope_above_the_int64_bound_raises_without_a_pool_fallback():
