@@ -134,7 +134,9 @@ class Certificate(SurgeryDatum):
 
     @property
     def checks(self):
-        """((name, passed), ...) in pipeline order; a lift checks the bounds last."""
+        """((name, passed), ...) in the order of the JSON contract, which
+        tests/golden_certs/lift_1993_312_312.json pins: a lift lists Euler
+        before the bounds, though _certify_class tests the bounds first."""
         last = (("euler", "bounds", "lifted-by-degree-shift") if self.boundary_genus
                 else ("bounds", "euler"))
         return (("square-test", True), ("os-form", True), ("torsion-positivity", True),
@@ -177,25 +179,6 @@ def canonical_h(p: int, h: int) -> int:
 def square_rep(p: int, h: int) -> int:
     """The lens parameter [h^2]_p forced by the dual class h."""
     return (h * h) % p
-
-
-def _reconstruct(p: int, h: int, g=None, screened=None):
-    """Stages reduce and unreduce: (genus, coefficients a_0..a_g).
-
-    The reduce stage counts the windows of h, or reads the depth of the
-    orbit member hs in screened = (hs, depth) from search._screen: the
-    reduced vector is an orbit invariant.  The genus is read off the reduced
-    vector when g is None.  Raises UnreduceError when the vector admits no
-    alternating polynomial; unreduce tests its symmetry, which the vector of
-    q = [h^2]_p always has.
-    """
-    hs, depth = screened or (h, None)
-    e = reduced_coeffs(p, square_rep(p, hs), hs, depth=depth)
-    if abs(int(e[0])) != 1:
-        raise UnreduceError("reduced coefficients cannot reduce an alternating polynomial")
-    if g is None:
-        g = genus_from_reduced(e)
-    return g, unreduce(e, g)
 
 
 def _forced_d(p: int, h: int, tred: np.ndarray) -> np.ndarray:
@@ -247,16 +230,23 @@ def certify(p: int, q: int, h: int, require_even_d: bool = True):
 def _certify_class(p, h, require_even_d=True, g=None, screened=None):
     """Pipeline body for a dual class h, with q* = [h^2]_p.
 
-    The reduced vector is reconstructed at genus g, read off the vector when
-    g is None.  For odd p a vector can have a second reconstruction, at
-    g = (p+1)/2; lift_to_d2 asks for that one.  Only the search passes
-    screened, its screen's result for h.
+    The reduced vector, an orbit invariant, is counted from the windows of
+    h, or read off the depth of the member hs in screened = (hs, depth),
+    the search's screen result for h.  It is reconstructed at genus g, read
+    off the vector when g is None; for odd p a vector can have a second
+    reconstruction, at g = (p+1)/2, which lift_to_d2 asks for.
     """
     q_canon = canonical_q(p, square_rep(p, h))
     h_canon = canonical_h(p, h)
 
+    hs, depth = screened or (h, None)
+    e = reduced_coeffs(p, square_rep(p, hs), hs, depth=depth)
     try:
-        g, coeffs = _reconstruct(p, h, g, screened)   # unreduce checks the alternating form
+        if abs(int(e[0])) != 1:
+            raise UnreduceError("reduced coefficients cannot reduce an alternating polynomial")
+        if g is None:
+            g = genus_from_reduced(e)
+        coeffs = unreduce(e, g)   # checks the alternating form
     except UnreduceError as err:
         return Rejection(p, q_canon, h_canon, "os-form", str(err))
 

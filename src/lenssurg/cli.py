@@ -186,7 +186,7 @@ def cmd_families(args):
     for inst in insts:
         r = inst.result
         if isinstance(r, Certificate):
-            status = "ok" if inst.genus_ok else "GENUS-RULE-FAIL"
+            status = "ok" if inst.ok else "GENUS-RULE-FAIL"
             print(f"{inst.label}\tl={inst.ell}\tp={r.p} q={r.q} h={r.h} "
                   f"g={r.g} d={r.d}\t{status}")
         else:
@@ -202,8 +202,10 @@ def cmd_tables(args):
         fixture_rows = tables.load_fixture(args.verify)
     except (OSError, ValueError) as err:
         raise UsageError(f"cannot read table {args.verify!r}: {err}") from err
-    pmin = min((r[0] for r in fixture_rows), default=2) if args.pmin is None else args.pmin
-    pmax = max((r[0] for r in fixture_rows), default=0) if args.pmax is None else args.pmax
+    if not fixture_rows and None in (args.pmin, args.pmax):
+        raise UsageError(f"table {args.verify!r} has no rows; give --pmin and --pmax")
+    pmin = min(r[0] for r in fixture_rows) if args.pmin is None else args.pmin
+    pmax = max(r[0] for r in fixture_rows) if args.pmax is None else args.pmax
     report = _searched(args, pmin, pmax)
     fixture_rows = [r for r in fixture_rows if pmin <= r[0] <= pmax]
     rows = [(c.p, c.q, c.h, c.g) for c in report.certs_with_d(2)]

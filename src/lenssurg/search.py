@@ -9,9 +9,9 @@ phi(p)^2 - class pairs - trivial pairs fail the quadratic-residue stage.
 
 A slope's classes are enumerated as one numpy array, and each is screened
 on alex.coverage_depth: the reduced coefficients -m + Phi^k can only support
-an alternating polynomial if every value lies in [-1, 2], the constant entry
-is +-1 and, when the genus g read off the vector has 2g < p (no index
-collisions), the entries a~_g .. a~_0 already alternate.  More than half of
+an alternating polynomial if every value lies in [-1, 2] and, when the
+genus g read off the vector has 2g < p (no index collisions), the entries
+a~_g .. a~_0 already alternate.  More than half of
 the candidates at p ~ 1000 and above fail on one count taken before the
 length-p depth is built: Phi^0, the number of window starts at most h, must
 lie in [m, m + 2] (proof in _phi0_batches).  That count is taken for many
@@ -147,10 +147,14 @@ def _screen(p, h, hp, starts):
     that passed the Phi^0 test of _phi0_batches.
 
     h is the orbit member the class was counted with, hp its inverse and
-    starts its window starts.  All reduced coefficients lie in [-1, 2],
-    a~_0 = +-1, and when 2g < p the nonzero a~_g .. a~_0 read +1, -1, +1, ...
-    (unreduce reads them back as the polynomial); collision genera 2g = p
-    are left to the pipeline.
+    starts its window starts.  All reduced coefficients lie in [-1, 2], and
+    when 2g < p the nonzero a~_g .. a~_0 read +1, -1, +1, ... (unreduce
+    reads them back as the polynomial); collision genera 2g >= p are left to
+    the pipeline.  The pipeline's first os-form test, |a~_0| = 1, is not
+    repeated: at 2g < p is_alternating implies it (a~_0 != 0, every nonzero
+    entry +-1), and at 2g >= p _certify_class runs it, rejecting at the same
+    stage with the same weight.  The genus read finds an entry: the vector
+    of [h^2]_p is symmetric and sums to 1, so a~_0 .. a~_{p/2} are not all 0.
 
     Returns None for a rejected class, and for a passing one the tuple
     (h, depth) of the member and its coverage_depth, which _certify_class
@@ -162,8 +166,6 @@ def _screen(p, h, hp, starts):
     if not (m - 1 <= np.minimum.reduce(depth) and np.maximum.reduce(depth) <= m + 2):
         return None
     e = reduced_from_depth(depth, h, hp, p // 2 + 1)   # a~_0 .. a~_{p/2}
-    if abs(int(e[0])) != 1:
-        return None
     g = int(e.nonzero()[0][-1])
     return (h, depth) if 2 * g >= p or is_alternating(e) else None
 
@@ -250,12 +252,6 @@ def _map_over_p(ps, mode, threads):
 
 # -- parametric families ----------------------------------------------------
 
-def _quadratic(coeffs, x):
-    """a*x^2 + b*x + c for coeffs = (a, b, c)."""
-    a, b, c = coeffs
-    return (a * x + b) * x + c
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     label: str
@@ -264,7 +260,8 @@ class FamilySpec:
     genus: tuple       # (s, t)    -> 2g = p + 1 - |s*l + t|
 
     def slope(self, ell):
-        return _quadratic(self.p_poly, ell)
+        a, b, c = self.p_poly
+        return (a * ell + b) * ell + c
 
 
 FAMILY_SPECS = (
@@ -291,12 +288,6 @@ FAMILY_SPECS = (
 
 SPORADIC_FAMILY = ("n", 191, 34, 15, 95)  # label, p, q, h, g
 
-# families(-FULL_COVERAGE_LRANGE, FULL_COVERAGE_LRANGE) generates every
-# certified row with p <= 2007; the binding constraint is the family with
-# the smallest quadratic coefficient (14 l^2 + 7 l + 1 reaches 1933 at
-# l = -12).
-FULL_COVERAGE_LRANGE = 12
-
 
 def family_slope_max(l_min: int, l_max: int) -> int:
     """The largest p(l) over l_min <= l <= l_max: each p(l) has a > 0, so peaks at an end."""
@@ -308,11 +299,7 @@ class FamilyInstance:
     label: str
     ell: object          # int, or None for the sporadic entry
     result: object       # Certificate or Rejection
-    genus_ok: bool
-
-    @property
-    def ok(self):
-        return isinstance(self.result, Certificate) and self.genus_ok
+    ok: bool             # certified, with the family's genus rule
 
 
 def families(l_min: int, l_max: int) -> list:
@@ -332,47 +319,42 @@ def families(l_min: int, l_max: int) -> list:
             p = spec.slope(ell)
             h = u * ell + v
             result = certify(p, h * h, h)
-            genus_ok = (isinstance(result, Certificate)
-                        and 2 * result.g == p + 1 - abs(s * ell + t))
-            out.append(FamilyInstance(spec.label, ell, result, genus_ok))
+            ok = (isinstance(result, Certificate)
+                  and 2 * result.g == p + 1 - abs(s * ell + t))
+            out.append(FamilyInstance(spec.label, ell, result, ok))
     label, p, q, h, g = SPORADIC_FAMILY
     result = certify(p, q, h)
-    genus_ok = isinstance(result, Certificate) and result.g == g and result.q == q
-    out.append(FamilyInstance(label, None, result, genus_ok))
+    ok = isinstance(result, Certificate) and result.g == g and result.q == q
+    out.append(FamilyInstance(label, None, result, ok))
     out.sort(key=lambda inst: (inst.result.p, inst.result.q, inst.result.h, inst.label))
     return out
 
 
 # -- conjectured patterns ----------------------------------------------------
 
-_CONJECTURE_QUADRATICS = (
-    (1, (54, 15, 1), (27, 21, 3)),
-    (2, (54, 39, 7), (27, 33, 9)),
-    (3, (69, 17, 1), (46, 19, 2)),
-    (4, (69, 29, 3), (46, 27, 4)),
-)
-
+_PATTERN_FAMILIES = tuple(s for s in FAMILY_SPECS if s.label in ("f", "f'", "g", "g'"))
 _CONJECTURE_BANDS = ((5, (321, 100), (361, 100)), (6, (115, 100), (128, 100)))
 
 
 def conjecture_check(cert: Certificate):
     """First matching conjectured pattern (1..6) for a d = 2 certificate.
 
-    Patterns 1-4 are explicit quadratic (p, q) families; 5 and 6 are exact
-    rational bands for h0^2 / p over the class set.  Returns None when no
-    pattern matches (small slopes do fall outside all six).
+    Patterns 1-4 are families f, f', g, g': p = p(l) and q is [h(l)^2]_p
+    (the paper's q(l) = h(l)^2 - k p(l)).  5 and 6 are exact rational bands
+    for h0^2 / p over the class set.  Returns None when no pattern matches
+    (small slopes do fall outside all six).
     """
     if cert.d != 2:
         raise ValueError("pattern check applies to d = 2 certificates")
     p, q = cert.p, cert.q
-    # each pattern p(l) = a l^2 + b l + c has 0 <= b < a and c >= 1, so
+    # each of these p(l) = a l^2 + b l + c has 0 <= b < a and c >= 1, so
     # p(l) > a|l|(|l| - 1) > p once |l| > isqrt(p) + 1: no other l can give p
-    for pattern, pc, qc in _CONJECTURE_QUADRATICS:
-        for ell in range(-isqrt(p) - 1, isqrt(p) + 2):
-            if ell and _quadratic(pc, ell) == p:
-                q_ell = _quadratic(qc, ell) % p
-                if gcd(q_ell, p) == 1 and canonical_q(p, q_ell) == q:
-                    return pattern
+    for pattern, spec in enumerate(_PATTERN_FAMILIES, 1):
+        u, v = spec.h_poly
+        for ell in filter(None, range(-isqrt(p) - 1, isqrt(p) + 2)):   # every l != 0
+            h = u * ell + v
+            if spec.slope(ell) == p and gcd(h, p) == 1 and canonical_q(p, h * h) == q:
+                return pattern
     for pattern, (lo_n, lo_d), (hi_n, hi_d) in _CONJECTURE_BANDS:
         for h0 in sorted(h_class_set(p, cert.h)):
             if lo_n * p <= h0 * h0 * lo_d and h0 * h0 * hi_d <= hi_n * p:

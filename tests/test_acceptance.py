@@ -17,12 +17,7 @@ from lenssurg.casson import euler_check, lambda_dedekind, lambda_rustamov, ras_v
 from lenssurg.certify import Certificate, certify, lift_to_d2
 from lenssurg.dinv import d_lens
 from lenssurg.fgroup import abelianization_order, build_presentation, todd_coxeter
-from lenssurg.search import (
-    FULL_COVERAGE_LRANGE,
-    enumerate_search,
-    families,
-    report_csv,
-)
+from lenssurg.search import enumerate_search, families, report_csv
 from lenssurg.tables import fixture_text, load_fixture
 from golden import (
     BINARY_ICOSAHEDRAL,
@@ -41,6 +36,12 @@ from golden import (
 )
 
 THREADS = 2
+
+# families(-FULL_COVERAGE_LRANGE, FULL_COVERAGE_LRANGE) generates every
+# certified row with p <= 2007; the binding constraint is the family with
+# the smallest quadratic coefficient (14 l^2 + 7 l + 1 reaches 1933 at
+# l = -12).
+FULL_COVERAGE_LRANGE = 12
 
 
 def _announce(num, name):

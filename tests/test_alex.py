@@ -143,6 +143,14 @@ def test_is_alternating_matches_loop():
         assert is_alternating(np.array(v, dtype=np.int64)) == _alternating_oracle(v), v
 
 
+@given(st.lists(st.integers(-1, 2), min_size=1, max_size=60))
+def test_alternating_vectors_in_the_screen_range_have_a_unit_constant(e):
+    # the search's screen leaves |a~_0| = 1 to is_alternating below the
+    # collision genera: every vector it accepts has a~_0 = +-1
+    if is_alternating(np.array(e, dtype=np.int64)):
+        assert abs(e[0]) == 1, e
+
+
 def test_genus_from_reduced():
     assert genus_from_reduced(reduced_coeffs(8, 1, 3)) == 4
     assert genus_from_reduced(reduced_coeffs(22, 3, 5)) == 11

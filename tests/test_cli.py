@@ -240,6 +240,10 @@ BAD_RANGES = [
      "--threads must be positive, got -1"),
     (("lambda", "9", "9"), "q (mod p) must be nonzero, got q = 9"),
     (("dinv", "9", "9"), "q (mod p) must be nonzero, got q = 9"),
+    (("tables", "--verify", os.devnull),
+     f"table {os.devnull!r} has no rows; give --pmin and --pmax"),
+    (("tables", "--verify", os.devnull, "--pmax", "30"),
+     f"table {os.devnull!r} has no rows; give --pmin and --pmax"),
 ]
 
 
@@ -299,6 +303,14 @@ def test_tables_unreadable_fixture_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "tables", "--verify", str(tmp_path / "missing.csv"))
     assert code == 2
     assert "cannot read table" in err
+
+
+def test_tables_verify_an_empty_fixture_over_given_bounds(capsys):
+    # with both bounds given, an empty table asserts that the range has no d = 2 row
+    assert run(capsys, "tables", "--verify", os.devnull, "--pmin", "2", "--pmax", "7") == \
+        (0, "verified: 0 rows, p in [2, 7]\n", "")
+    code, out, _ = run(capsys, "tables", "--verify", os.devnull, "--pmin", "2", "--pmax", "8")
+    assert code == 1 and out == "not in fixture: (8, 1, 3, 4)\n"
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

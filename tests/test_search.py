@@ -140,8 +140,8 @@ def _one_class_starts(p, h, hp):
 
 def _full_range_screen(p, h, hp):
     # the screen without the Phi^0 pre-check, on one class's own starts:
-    # value range over every k, a~_0 = +-1, and the alternating form below
-    # the collision genera; None for a rejection, else the member and its
+    # value range over every k, and the alternating form below the
+    # collision genera; None for a rejection, else the member and its
     # depth, as _screen returns
     h, hp = hp, h   # the member hp, whose inverse is the class minimum h
     m = (h * hp - 1) // p
@@ -149,8 +149,6 @@ def _full_range_screen(p, h, hp):
     if not (m - 1 <= depth.min() and depth.max() <= m + 2):
         return None
     e = reduced_from_depth(depth, h, hp, p // 2 + 1)
-    if abs(int(e[0])) != 1:
-        return None
     g = int(np.flatnonzero(e)[-1])
     return (h, depth) if 2 * g >= p or is_alternating(e) else None
 
@@ -331,7 +329,7 @@ def test_families_anchors():
 
 def test_families_genus_rules_small_range():
     for inst in families(-3, 3):
-        assert inst.ok, (inst.label, inst.ell, inst.p)
+        assert inst.ok, (inst.label, inst.ell, inst.result.p)
 
 
 def test_families_check_the_int64_bound_before_certifying(monkeypatch):
@@ -358,13 +356,37 @@ def test_family_slope_max_is_the_largest_slope_in_the_range(l0, width):
     assert family_slope_max(l0, l1) == brute
 
 
+# the paper's conjectured patterns 1-4 as quadratics (p(l), q(l)), with the
+# k for which q(l) = h(l)^2 - k p(l) on the family of the same p(l)
+PATTERN_QUADRATICS = (
+    (1, "f", (54, 15, 1), (27, 21, 3), 13),
+    (2, "f'", (54, 39, 7), (27, 33, 9), 13),
+    (3, "g", (69, 17, 1), (46, 19, 2), 7),
+    (4, "g'", (69, 29, 3), (46, 27, 4), 7),
+)
+
+
+def test_patterns_one_to_four_are_families_f_f_prime_g_g_prime():
+    # conjecture_check reads patterns 1-4 from these families: each pattern's
+    # p(l) is the family's, and h(l)^2 - q(l) = k p(l) coefficient by
+    # coefficient, so q(l) = [h(l)^2]_p at every l
+    specs = {spec.label: spec for spec in FAMILY_SPECS}
+    assert search._PATTERN_FAMILIES == tuple(specs[label] for _, label, *_ in PATTERN_QUADRATICS)
+    for _, label, p_poly, (qa, qb, qc), k in PATTERN_QUADRATICS:
+        spec = specs[label]
+        (u, v), (a, b, c) = spec.h_poly, spec.p_poly
+        assert spec.p_poly == p_poly, label
+        assert (u * u - qa, 2 * u * v - qb, v * v - qc) == (k * a, k * b, k * c), label
+
+
 def test_family_and_pattern_quadratics_meet_the_scan_preconditions():
     # family_slope_max reads the range ends because every family p(l) has
-    # a > 0; conjecture_check scans |l| <= isqrt(p) + 1 because every
-    # pattern p(l) has 0 <= b < a and c >= 1
+    # a > 0; conjecture_check scans |l| <= isqrt(p) + 1 because the p(l) of
+    # every pattern family has 0 <= b < a and c >= 1
     assert all(spec.p_poly[0] > 0 for spec in FAMILY_SPECS)
-    for _, (a, b, c), _ in search._CONJECTURE_QUADRATICS:
-        assert 0 <= b < a and c >= 1, (a, b, c)
+    for spec in search._PATTERN_FAMILIES:
+        a, b, c = spec.p_poly
+        assert 0 <= b < a and c >= 1, spec.label
 
 
 def test_conjecture_histogram_over_the_fixture_rows():
