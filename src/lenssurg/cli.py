@@ -204,6 +204,8 @@ def cmd_tables(args):
         raise UsageError(f"cannot read table {args.verify!r}: {err}") from err
     if not fixture_rows and None in (args.pmin, args.pmax):
         raise UsageError(f"table {args.verify!r} has no rows; give --pmin and --pmax")
+    if args.pmin is None and min(fixture_rows)[0] < 2:
+        raise UsageError(f"table {args.verify!r} has the row {min(fixture_rows)}, with p < 2")
     pmin = min(r[0] for r in fixture_rows) if args.pmin is None else args.pmin
     pmax = max(r[0] for r in fixture_rows) if args.pmax is None else args.pmax
     report = _searched(args, pmin, pmax)

@@ -210,7 +210,7 @@ def _search_one_p(p, mode):
 
 def enumerate_search(p_min: int, p_max: int, mode: str = "square",
                      threads: int = 1) -> SearchReport:
-    """Search all slopes in [p_min, p_max]; deterministic for any thread count."""
+    """Search all slopes in [p_min, p_max] on `threads` processes; the same for any count."""
     if mode not in ("square", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     if not 2 <= p_min <= p_max:
@@ -227,27 +227,45 @@ def enumerate_search(p_min: int, p_max: int, mode: str = "square",
     return report
 
 
-def _worker(args):
-    return _search_one_p(*args)
+def _child(conn, ps, mode):
+    try:
+        conn.send((True, [_search_one_p(p, mode) for p in ps]))
+    except Exception as err:
+        from multiprocessing.pool import ExceptionWithTraceback
+        conn.send((False, ExceptionWithTraceback(err, err.__traceback__)))
 
 
 def _map_over_p(ps, mode, threads):
-    ps = list(ps)
-    if threads > 1 and len(ps) > 1:
-        import multiprocessing as mp
-
+    """_search_one_p of each slope in ps, in order.  Of n = min(threads, len(ps)) shares,
+    dealt 0, 1, .., n-1, n-1, .., 0 so each has both parities, this process searches share 0
+    and any whose forked child fails to start (warned); a child's error is re-raised here."""
+    n = max(1, min(threads, len(ps)))
+    shares = [[*ps[i::2 * n], *ps[2 * n - 1 - i::2 * n]] for i in range(n)]
+    results, children = {}, []
+    try:
         try:
-            pool = mp.get_context("fork").Pool(min(threads, len(ps)))
-        except (OSError, ValueError) as err:
-            # e.g. sandboxed environments without fork support; a worker's own
-            # error is not caught here, so it surfaces once, from the pool
-            warnings.warn(f"process pool failed ({err!r}); searching serially",
-                          RuntimeWarning, stacklevel=3)
-        else:
-            with pool:
-                # map returns results in input order, whatever the scheduling
-                return pool.map(_worker, [(p, mode) for p in ps], chunksize=32)
-    return [_search_one_p(p, mode) for p in ps]
+            for share in shares[1:]:   # none at n = 1: no multiprocessing import, no fork
+                from multiprocessing import Pipe, get_context
+                conn, send = Pipe(duplex=False)
+                child = get_context("fork").Process(target=_child, args=(send, share, mode))
+                child.start()
+                send.close()
+                children.append((share, conn, child))
+        except (OSError, ValueError) as e:
+            warnings.warn(f"cannot fork ({e!r}); searching here", RuntimeWarning, stacklevel=3)
+        for share in shares[:1] + shares[1 + len(children):]:
+            results.update((p, _search_one_p(p, mode)) for p in share)
+        for share, conn, child in children:
+            ok, out = conn.recv()
+            if not ok:
+                raise out
+            results.update(zip(share, out))
+    finally:
+        for _, conn, child in children:
+            child.terminate()   # a child that has sent its share has nothing left to do
+            child.join()
+            conn.close()
+    return [results[p] for p in ps]
 
 
 # -- parametric families ----------------------------------------------------

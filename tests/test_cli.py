@@ -12,6 +12,7 @@ from lenssurg.certify import certificate_from_json, certify
 from lenssurg.cli import CLOSED_PIPE, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden_certs"
+TABLE_P_BELOW_2 = Path(__file__).parent / "data" / "table_p_below_2.csv"   # one row, 1,1,1,1
 
 
 def run(capsys, *argv):
@@ -244,6 +245,8 @@ BAD_RANGES = [
      f"table {os.devnull!r} has no rows; give --pmin and --pmax"),
     (("tables", "--verify", os.devnull, "--pmax", "30"),
      f"table {os.devnull!r} has no rows; give --pmin and --pmax"),
+    (("tables", "--verify", str(TABLE_P_BELOW_2)),
+     f"table {str(TABLE_P_BELOW_2)!r} has the row (1, 1, 1, 1), with p < 2"),
 ]
 
 

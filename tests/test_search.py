@@ -1,6 +1,12 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 import warnings
 from collections import Counter
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -305,14 +311,23 @@ def test_plotdata_empty_below_8():
     assert plotdata(rep, 2) == []
 
 
-def test_threaded_search_is_deterministic():
+def test_threaded_search_is_deterministic(monkeypatch):
+    # threads=0 is serial: it asks for no fork context
+    def no_context(method):
+        raise AssertionError("threads=0 asked for a child")
+
     for mode, p_max in (("square", 80), ("exhaustive", 120)):
         one = enumerate_search(2, p_max, mode, threads=1)
-        two = enumerate_search(2, p_max, mode, threads=2)
-        assert one.certificates == two.certificates
-        assert one.rejections == two.rejections
-        assert one.d_histogram == two.d_histogram
-        assert one.trivial_pairs == two.trivial_pairs
+        for threads in (2, 3, 7, 0):
+            if threads == 0:
+                monkeypatch.setattr(multiprocessing, "get_context", no_context)
+            many = enumerate_search(2, p_max, mode, threads=threads)
+            assert one.certificates == many.certificates
+            assert one.rejections == many.rejections
+            assert one.d_histogram == many.d_histogram
+            assert one.trivial_pairs == many.trivial_pairs
+            assert report_json(one) == report_json(many)
+        monkeypatch.undo()
 
 
 def test_families_anchors():
@@ -412,39 +427,129 @@ def test_conjecture_check():
         conjecture_check(certify(7, 2, 2))  # d = 0
 
 
+class _InlineChildren:
+    """A stand-in for the fork context: each child runs its share in this process
+    when started, unless `refuse` names an error to raise instead.  It records the
+    share of every child it was asked to start, and starts no process."""
+
+    def __init__(self, refuse=None):
+        self.refuse, self.shares = refuse, []
+
+    def Process(self, target, args):
+        self.shares.append(args[1])
+
+        def start():
+            if self.refuse:
+                raise self.refuse
+            target(*args)
+
+        return SimpleNamespace(start=start, terminate=lambda: None, join=lambda: None)
+
+
 def test_pool_failure_warns_and_falls_back_to_serial(monkeypatch):
-    import multiprocessing
-
-    class NoFork:
-        def Pool(self, *args, **kwargs):
-            raise OSError("fork is not permitted")
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoFork())
+    fake = _InlineChildren(refuse=OSError("fork is not permitted"))
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: fake)
     with pytest.warns(RuntimeWarning, match="fork is not permitted"):
         pooled = enumerate_search(2, 40, mode="exhaustive", threads=2)
     serial = enumerate_search(2, 40, mode="exhaustive", threads=1)
+    assert fake.shares == [[*range(3, 41, 4), *range(4, 41, 4)]]   # the one child's share
     assert report_json(pooled) == report_json(serial)
     assert pooled.certificates == serial.certificates
 
 
 def test_pool_starts_no_more_workers_than_slopes(monkeypatch):
-    # two slopes on 64 threads ask for a pool of 2; the fake pool records the
-    # size and refuses to start, so the search runs serially and no process
-    # is forked
-    import multiprocessing
+    # two slopes on 64 threads make two shares, so exactly one child starts; a
+    # fake that refuses the first child never sees a second, so the count is
+    # taken with a fake that runs each child's share in this process
+    fake = _InlineChildren()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: fake)
+    serial = report_json(enumerate_search(5, 6, mode="square"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert report_json(enumerate_search(5, 6, mode="square", threads=64)) == serial
+    assert fake.shares == [[6]]
 
-    sizes = []
-
-    class Refuse:
-        def Pool(self, n):
-            sizes.append(n)
-            raise OSError("no pool in this test")
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Refuse())
-    with pytest.warns(RuntimeWarning, match="no pool in this test"):
+    refusing = _InlineChildren(refuse=OSError("no fork in this test"))
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: refusing)
+    with pytest.warns(RuntimeWarning, match="no fork in this test"):
         report = enumerate_search(5, 6, mode="square", threads=64)
-    assert sizes == [2]
-    assert report_json(report) == report_json(enumerate_search(5, 6, mode="square"))
+    assert refusing.shares == [[6]]
+    assert report_json(report) == serial
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_slopes_are_dealt_once_each_in_a_zigzag(monkeypatch, n):
+    # children run inline, so every slope searched, here or in a child, is
+    # recorded in this process
+    fake = _InlineChildren()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: fake)
+    searched = []
+    monkeypatch.setattr(search, "_search_one_p", lambda p, mode: searched.append(p) or p)
+    for length in range(1, 41):
+        ps = range(10, 10 + length)
+        fake.shares.clear()
+        searched.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert search._map_over_p(ps, "square", n) == list(ps)
+        assert sorted(searched) == list(ps)
+        assert len(fake.shares) == min(n, length) - 1
+    fake.shares.clear()
+    searched.clear()
+    search._map_over_p(range(2, 251), "square", 2)
+    (child,) = fake.shares
+    mine = [p for p in searched if p not in child]
+    assert (len(mine), len(child)) == (125, 124)
+    for share in (mine, child):   # each parity within 4 slopes of either end of 2..250
+        for parity in (0, 1):
+            same = [p for p in share if p % 2 == parity]
+            assert min(same) < 2 + 4 and max(same) > 250 - 4
+
+
+def test_one_thread_or_one_slope_imports_no_multiprocessing():
+    code = ("import sys; from lenssurg.search import enumerate_search; "
+            "enumerate_search(2, 30, 'square', 1); enumerate_search(7, 7, 'square', 8); "
+            "print('multiprocessing' in sys.modules)")
+    src = os.path.join(os.path.dirname(search.__file__), "..")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout == "False\n"
+
+
+def test_every_child_is_reaped_on_every_path(monkeypatch):
+    enumerate_search(2, 40, "square", threads=3)
+    assert multiprocessing.active_children() == []
+
+    # 2..5 on two threads: this process searches 2 and 5, the child 3 and 4
+    searched_here = []
+    real = search._search_one_p
+    parent = os.getpid()
+
+    def child_fails(p, mode):
+        if os.getpid() == parent:
+            searched_here.append(p)
+        elif p == 3:
+            raise ValueError(f"child failed at p = {p}")
+        return real(p, mode)
+
+    monkeypatch.setattr(search, "_search_one_p", child_fails)
+    with pytest.raises(ValueError, match="child failed at p = 3") as raised:
+        enumerate_search(2, 5, "square", threads=2)
+    assert "in child_fails" in str(raised.value.__cause__)   # the child's traceback
+    assert searched_here == [2, 5]   # the child's share is not searched again here
+    assert multiprocessing.active_children() == []
+
+    def parent_fails(p, mode):
+        if os.getpid() == parent:
+            raise ValueError(f"parent failed at p = {p}")
+        time.sleep(60)   # a child still at work is stopped, not waited for
+
+    monkeypatch.setattr(search, "_search_one_p", parent_fails)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="parent failed at p = 2"):
+        enumerate_search(2, 5, "square", threads=2)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_slope_above_the_int64_bound_raises_without_a_pool_fallback():
